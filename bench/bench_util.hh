@@ -128,7 +128,7 @@ class BenchJson
  * Stamp the host-parallelism context into the current row of @p json:
  * hostConcurrency (hardware threads of the machine that produced the
  * row) and workerThreads (host threads this measurement actually used).
- * Every BENCH_*.json row gets this, so a pool/PDES speedup measured on a
+ * Every BENCH_*.json row gets this, so a pool speedup measured on a
  * 1-CPU box is recognizable as unmeasurable rather than as a regression.
  */
 inline void

@@ -13,12 +13,6 @@
  *     meaningful relative to hostConcurrency (also emitted): on a
  *     single-hardware-thread host the pool cannot beat 1x by
  *     construction.
- *  3. Conservative-PDES: one sharded simulation run on the windowed
- *     kernel, swept over --host-threads 1/2/4/8 — full stat dumps AND
- *     the kernel's window/skip/barrier counters must be bit-identical
- *     at every thread count (the identical gate in check_perf.py), and
- *     the wall ratios show what intra-run threading buys on this host.
- *     The 32-core sparselu point is the ROADMAP scaling target.
  *
  * Every experiment is described as a spec::RunSpec mutation and executed
  * through spec::Engine, and each BENCH json row carries the serialized
@@ -33,15 +27,12 @@
 #include <cstdlib>
 #include <cstring>
 #include <cstdint>
-#include <sstream>
 #include <string>
 #include <thread>
-#include <utility>
 #include <vector>
 
 #include "bench/bench_util.hh"
 #include "bench/fig_common.hh"
-#include "cpu/system.hh"
 #include "spec/engine.hh"
 
 using namespace picosim;
@@ -108,127 +99,6 @@ compareModes(bench::BenchJson &json, const char *label,
     bench::stampHost(json);
 }
 
-/** What one PDES run produced; every field is part of the bit-identity
- *  contract — the window accounting is as deterministic as the model. */
-struct PdesRun
-{
-    Cycle cycles = 0;
-    std::string dump;
-    std::uint64_t domains = 0;
-    std::uint64_t windowBarriers = 0;
-    std::uint64_t windowsRun = 0;     ///< summed over domains
-    std::uint64_t windowsSkipped = 0; ///< summed over domains
-
-    bool
-    operator==(const PdesRun &o) const
-    {
-        return cycles == o.cycles && dump == o.dump &&
-               domains == o.domains &&
-               windowBarriers == o.windowBarriers &&
-               windowsRun == o.windowsRun &&
-               windowsSkipped == o.windowsSkipped;
-    }
-};
-
-/** One forced-partition PDES run of @p s (pdes=force is set by the
- *  sweep), keeping the System inspectable for the window counters. */
-PdesRun
-runPdes(const spec::RunSpec &s)
-{
-    const spec::InspectedRun run = spec::Engine::runInspected(s);
-    PdesRun r;
-    r.cycles = run.result.cycles;
-    std::ostringstream dump;
-    run.system->stats().dump(dump);
-    r.dump = dump.str();
-    const sim::Simulator &sim = run.system->simulator();
-    r.domains = run.system->pdesDomains();
-    r.windowBarriers = sim.windowBarriers();
-    for (unsigned d = 0; d < r.domains; ++d) {
-        r.windowsRun += sim.domainWindowsRun(d);
-        r.windowsSkipped += sim.domainWindowsSkipped(d);
-    }
-    return r;
-}
-
-/** One sweep point: @p threads host threads against the precomputed
- *  1-thread floor (@p one, @p t1). Emits a pdes_compare row. */
-bool
-comparePdes(bench::BenchJson &json, const std::string &label,
-            const spec::RunSpec &base, unsigned repeats, unsigned threads,
-            const PdesRun &one, double t1)
-{
-    spec::RunSpec s = base;
-    s.hostThreads = threads;
-    PdesRun rn;
-    double tn = 0.0;
-    for (unsigned r = 0; r < repeats; ++r) {
-        const double b = wallSeconds([&] { rn = runPdes(s); });
-        tn = r == 0 ? b : std::min(tn, b);
-    }
-    const bool same = one == rn;
-    std::printf("%-32s %12llu cycles %s  wall 1t %.3fs -> %ut %.3fs "
-                "(%.2fx)\n",
-                label.c_str(), static_cast<unsigned long long>(one.cycles),
-                same ? "[=]" : "[MISMATCH]", t1, threads, tn,
-                tn > 0 ? t1 / tn : 0.0);
-    json.beginRow();
-    json.field("bench", "pdes_compare");
-    json.field("label", label);
-    json.field("cycles", one.cycles);
-    json.field("identical", same);
-    json.field("domains", one.domains);
-    json.field("windowBarriers", one.windowBarriers);
-    json.field("windowsRun", one.windowsRun);
-    json.field("windowsSkipped", one.windowsSkipped);
-    json.field("wallOneThreadSec", t1);
-    json.field("wallMultiThreadSec", tn);
-    json.field("pdesSpeedup", tn > 0 ? t1 / tn : 0.0);
-    bench::stampSpec(json, s);
-    bench::stampHost(json, threads);
-    return same;
-}
-
-/** Full pdes_compare sweep over host-thread counts for one topology.
- *  @p baseLabel names the h2 row (baseline continuity); other thread
- *  counts get an " hN" suffix. */
-bool
-sweepPdes(bench::BenchJson &json, const std::string &baseLabel,
-          const spec::RunSpec &workloadSpec, unsigned cores,
-          unsigned shards, unsigned clusters, unsigned repeats,
-          const std::vector<unsigned> &threadCounts)
-{
-    spec::RunSpec base = workloadSpec;
-    base.cores = cores;
-    base.schedShards = shards;
-    base.clusters = clusters;
-    base.pdes = cpu::PdesParams::Partition::Force;
-    base.hostThreads = 1;
-
-    PdesRun one;
-    double t1 = 0.0;
-    for (unsigned r = 0; r < repeats; ++r) {
-        const double a = wallSeconds([&] { one = runPdes(base); });
-        t1 = r == 0 ? a : std::min(t1, a);
-    }
-    std::printf("%-32s %llu domains, %llu windows run, %llu skipped, "
-                "%llu barriers\n",
-                (baseLabel + " (1 thread)").c_str(),
-                static_cast<unsigned long long>(one.domains),
-                static_cast<unsigned long long>(one.windowsRun),
-                static_cast<unsigned long long>(one.windowsSkipped),
-                static_cast<unsigned long long>(one.windowBarriers));
-    bool same = true;
-    for (unsigned threads : threadCounts) {
-        const std::string label =
-            threads == 2 ? baseLabel
-                         : baseLabel + " h" + std::to_string(threads);
-        same = comparePdes(json, label, base, repeats, threads, one, t1) &&
-               same;
-    }
-    return same;
-}
-
 } // namespace
 
 int
@@ -280,12 +150,12 @@ main(int argc, char **argv)
                           {{"tasks", 256}, {"deps", 1}, {"payload", 1'000}}),
                  repeats);
 
-    const unsigned hostThreads =
+    const unsigned hwThreads =
         std::max(1u, std::thread::hardware_concurrency());
     const unsigned poolThreads = 8;
     std::printf("\n== Parallel batch harness (Figure 9 sweep, %u worker "
                 "pool, %u hardware thread(s)) ==\n",
-                poolThreads, hostThreads);
+                poolThreads, hwThreads);
     std::vector<bench::MatrixRow> serialRows, poolRows;
     const double tSerial = wallSeconds(
         [&] { serialRows = bench::runFigure9Matrix(false, 1); });
@@ -303,7 +173,7 @@ main(int argc, char **argv)
                 tSerial, poolThreads, tPool,
                 tPool > 0 ? tSerial / tPool : 0.0,
                 same ? "identical" : "MISMATCH");
-    if (hostThreads == 1) {
+    if (hwThreads == 1) {
         std::printf("(single hardware thread: pool speedup is capped at "
                     "~1x on this host)\n");
     }
@@ -317,32 +187,10 @@ main(int argc, char **argv)
     json.field("identical", same);
     bench::stampHost(json, poolThreads);
 
-    std::printf("\n== Conservative-PDES windowed kernel (forced "
-                "partition, auto domain count, host-thread sweep) ==\n");
-    bool pdes_same = sweepPdes(
-        json, "task-chain g=1k Phentos 4x4",
-        bench::canonicalSpec("task-chain",
-                 {{"tasks", 256}, {"deps", 1}, {"payload", 1'000}}),
-        16, 4, 4, repeats, {2u, 4u, 8u});
-    // The ROADMAP scaling target: sparselu at 32 cores on the 4x4
-    // fabric (the shard_scaling regression point). Heavier, so the
-    // quick/CI run keeps only the h4 point.
-    pdes_same = sweepPdes(json, "sparselu 12b 32c Phentos 4x4",
-                          bench::canonicalSpec("sparselu", {{"nb", 12}, {"bs", 24}}),
-                          32, 4, 4, bench::quickMode() ? 1u : repeats,
-                          bench::quickMode()
-                              ? std::vector<unsigned>{4u}
-                              : std::vector<unsigned>{2u, 4u, 8u}) &&
-                pdes_same;
-    if (hostThreads == 1) {
-        std::printf("(single hardware thread: PDES wall speedup is capped "
-                    "at ~1x on this host; identity still checked)\n");
-    }
-
     if (json.write())
         std::printf("json      : %s\n", json.path().c_str());
     else
         std::fprintf(stderr, "warning: could not write %s\n",
                      json.path().c_str());
-    return same && pdes_same ? 0 : 1;
+    return same ? 0 : 1;
 }

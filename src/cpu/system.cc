@@ -2,76 +2,20 @@
 
 #include <algorithm>
 #include <string>
-#include <vector>
 
 #include "sim/log.hh"
 
 namespace picosim::cpu
 {
 
-namespace
-{
-
-/**
- * Resolve the PDES domain count from the (already pdes-shaped) topology
- * and the user's request. A pure function of the simulated configuration
- * — hostThreads must never leak in here, or two runs of the same system
- * at different thread counts would simulate different machines.
- */
-unsigned
-resolvePdesDomains(const picos::TopologyParams &topo,
-                   const PdesParams &pdes)
-{
-    // d0 = cores+runtime+memory, d1..dC = cluster managers, dC+1 = the
-    // sharded scheduler: the only cuts in the component graph where
-    // every crossing edge is a timed port.
-    const unsigned full = 2 + topo.clusters;
-    unsigned n = pdes.domains;
-    if (n == 1)
-        sim::fatal("pdes.domains == 1 is not a partition; use "
-                   "PdesParams::Partition::Off for a sequential run");
-    if (n == 0) {
-        // Auto: split the managers out only when the cluster link is a
-        // real (>= 1 cycle) hop — with a zero-cycle link the extra
-        // windows would be too small to pay for their barriers, so fall
-        // back to the classic 2-way {cores+managers | scheduler} cut.
-        n = topo.clusterLinkCycles >= 1 ? full : 2;
-    }
-    return std::min(n, full);
-}
-
-} // namespace
-
 System::System(const SystemParams &params)
     : params_(params), bandwidth_(params.bandwidthAlpha)
 {
-    picos::TopologyParams topo = params.topology;
+    const picos::TopologyParams &topo = params.topology;
     if (!topo.singlePicos() && topo.clusters > params.numCores)
         sim::fatal("topology needs at least one core per cluster");
 
     sim_.setEvalMode(params.evalMode);
-
-    // Conservative-PDES partitioning: the scheduler fabric and the
-    // per-cluster manager seams are the only cuts in this component
-    // graph where every crossing edge is a timed port (cores share
-    // functional memory/bandwidth state with the runtime, so they stay
-    // together in domain 0; each cluster's manager may split into its
-    // own domain across the cluster link). The single-Picos topology
-    // has no such cut — sequential fallback — and the TickWorld
-    // reference kernel is sequential by definition.
-    const PdesParams &pdes = params.pdes;
-    pdesActive_ =
-        (pdes.partition == PdesParams::Partition::Force ||
-         (pdes.partition == PdesParams::Partition::Auto &&
-          pdes.hostThreads > 1)) &&
-        !topo.singlePicos() && params.evalMode == sim::EvalMode::EventDriven;
-    unsigned ndom = 1;
-    if (pdesActive_) {
-        topo.pdesBoundaryPorts = true;
-        ndom = resolvePdesDomains(topo, pdes);
-        sim_.configureDomains(ndom);
-        sim_.setHostThreads(pdes.hostThreads);
-    }
     memory_ = std::make_unique<mem::CoherentMemory>(params.numCores,
                                                     params.mem);
     if (params.mem.mode == mem::MemMode::Timed)
@@ -88,17 +32,8 @@ System::System(const SystemParams &params)
             sim_.clock(), *picos_, params.numCores, params.manager,
             sim_.stats()));
     } else {
-        // The scheduler ticks on its own (last) domain's clock when
-        // partitioned; each cluster's ready-return port is bound to the
-        // clock of the domain its manager lives in.
-        std::vector<const sim::Clock *> readyClocks;
-        readyClocks.reserve(topo.clusters);
-        for (unsigned c = 0; c < topo.clusters; ++c)
-            readyClocks.push_back(&sim_.domainClock(
-                pdesActive_ ? managerDomainOf(c, ndom) : 0u));
         sharded_ = std::make_unique<picos::ShardedPicos>(
-            pdesActive_ ? sim_.domainClock(ndom - 1) : sim_.clock(),
-            std::move(readyClocks), params.picos, topo, sim_.stats());
+            sim_.clock(), params.picos, topo, sim_.stats());
         if (params.fault.kind == sim::FaultKind::KillShard ||
             params.fault.kind == sim::FaultKind::StallLink)
             sharded_->setFault(params.fault);
@@ -109,24 +44,12 @@ System::System(const SystemParams &params)
         // the ready-fetch latency for demand-driven flow.
         manager::ManagerParams cluster_mp = params.manager;
         cluster_mp.roccReadyQueueDepth = 1;
-        // Manager split (>= 3 domains): the manager sits across the
-        // cluster-local interconnect from its cores; that hop moves onto
-        // the delegate-facing ports, where it doubles as the lookahead
-        // of the core<->manager domain pair (so it must be >= 1).
-        const bool managerSplit = pdesActive_ && ndom > 2;
-        if (managerSplit)
-            cluster_mp.pdesCoreLinkCycles =
-                std::max<Cycle>(1, topo.clusterLinkCycles);
         for (unsigned c = 0; c < topo.clusters; ++c) {
             const unsigned begin = clusterBegin(c);
             const unsigned end = clusterBegin(c + 1);
-            const sim::Clock &mgrClock =
-                managerSplit ? sim_.domainClock(managerDomainOf(c, ndom))
-                             : sim_.clock();
             managers_.push_back(std::make_unique<manager::PicosManager>(
-                mgrClock, sim_.clock(), sharded_->clusterPort(c),
-                end - begin, cluster_mp, sim_.stats(),
-                "manager.c" + std::to_string(c)));
+                sim_.clock(), sharded_->clusterPort(c), end - begin,
+                cluster_mp, sim_.stats(), "manager.c" + std::to_string(c)));
         }
     }
 
@@ -153,38 +76,18 @@ System::System(const SystemParams &params)
     // cycle).
     for (auto &core : cores_)
         sim_.addTicked(core.get());
-    for (unsigned c = 0; c < managers_.size(); ++c)
-        sim_.addTicked(managers_[c].get(),
-                       pdesActive_ ? managerDomainOf(c, ndom) : 0u);
+    for (auto &mgr : managers_)
+        sim_.addTicked(mgr.get());
     if (picos_)
         sim_.addTicked(picos_.get());
     if (sharded_)
-        sim_.addTicked(sharded_.get(), pdesActive_ ? ndom - 1 : 0u);
+        sim_.addTicked(sharded_.get());
     if (timedMem_) {
         sim_.addTicked(timedMem_.get());
         for (CoreId i = 0; i < params.numCores; ++i)
             timedMem_->bindHart(i, &cores_[i]->context(), cores_[i].get());
     }
 
-    // With every component registered (port owners final), flip the
-    // manager<->scheduler boundary ports — and, past the 2-way cut, the
-    // core<->manager ports — into staging mode; this also derives the
-    // kernel's pairwise lookahead matrix from their latencies.
-    if (pdesActive_) {
-        sharded_->bindPdes(sim_);
-        if (ndom > 2)
-            for (auto &mgr : managers_)
-                mgr->bindPdesCoreBoundary(sim_);
-    }
-}
-
-unsigned
-System::managerDomainOf(unsigned c, unsigned ndom)
-{
-    // 2-way cut: managers share domain 0 with their cores (the classic
-    // partition). Beyond that, clusters fold round-robin onto the
-    // ndom - 2 manager domains (one each in the full cut).
-    return ndom <= 2 ? 0u : 1u + c % (ndom - 2);
 }
 
 picos::Picos &

@@ -33,41 +33,6 @@
 namespace picosim::cpu
 {
 
-/** Conservative-PDES (multi-threaded single-simulation) configuration. */
-struct PdesParams
-{
-    /** Host threads for the windowed run loop. Any value >= 1 produces
-     *  bit-identical results; > 1 only changes who executes windows. */
-    unsigned hostThreads = 1;
-
-    /**
-     * PDES domain count. 0 (auto) derives the partition from the
-     * topology: the full {cores+runtime+memory | one domain per cluster
-     * manager | scheduler} cut when the cluster link is at least one
-     * cycle, the classic 2-way {cores+managers | scheduler} cut
-     * otherwise. Values >= 2 request exactly that many domains (clamped
-     * to the 2 + clusters the component graph supports; in between, the
-     * per-cluster managers are folded round-robin onto the manager
-     * domains). 1 is rejected — use partition = Off for a sequential
-     * run. Deliberately NEVER derived from hostThreads: the partition,
-     * and therefore every simulated result, is a pure function of the
-     * simulated topology, so any thread count replays the same schedule.
-     */
-    unsigned domains = 0;
-
-    enum class Partition : std::uint8_t
-    {
-        /** Partition only when hostThreads > 1 asks for parallelism. */
-        Auto,
-        /** Never partition; plain sequential kernel regardless. */
-        Off,
-        /** Partition whenever the topology has a cut, even at 1 thread
-         *  (lets tests/CI compare thread counts on the same schedule). */
-        Force,
-    };
-    Partition partition = Partition::Auto;
-};
-
 struct SystemParams
 {
     unsigned numCores = 8;
@@ -79,7 +44,6 @@ struct SystemParams
     double bandwidthAlpha = 0.058;
     /** Kernel strategy; TickWorld is the bit-exact reference baseline. */
     sim::EvalMode evalMode = sim::EvalMode::EventDriven;
-    PdesParams pdes{};
 
     /** Fault to inject into the model (KillShard/StallLink; DropJob is
      *  harness-level and ignored here). Requires the sharded topology —
@@ -147,18 +111,9 @@ class System
 
     const SystemParams &params() const { return params_; }
 
-    /** True when this system runs partitioned (conservative PDES). */
-    bool pdesActive() const { return pdesActive_; }
-
-    /** Resolved PDES domain count (1 when not partitioned). */
-    unsigned pdesDomains() const { return sim_.numDomains(); }
-
   private:
     /** First core of @p cluster (balanced contiguous blocks). */
     unsigned clusterBegin(unsigned cluster) const;
-
-    /** Domain hosting cluster @p c's manager in an @p ndom-way cut. */
-    static unsigned managerDomainOf(unsigned c, unsigned ndom);
 
     SystemParams params_;
     sim::Simulator sim_;
@@ -175,8 +130,6 @@ class System
     /** Cores whose thread is finished (or absent), maintained by the
      *  cores themselves — makes the run loop's done() check O(1). */
     std::uint32_t coresDone_ = 0;
-
-    bool pdesActive_ = false;
 };
 
 } // namespace picosim::cpu

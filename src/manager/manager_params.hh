@@ -36,18 +36,6 @@ struct ManagerParams
 
     /** Per-core retirement buffers ahead of the Round Robin Arbiter. */
     unsigned retireBufferDepth = 2;
-
-    /**
-     * Conservative-PDES manager split: when > 0, this manager runs in its
-     * own domain, reached from its cores over a link of this many cycles.
-     * The hop is charged on the delegate-facing ports (where it doubles
-     * as the conservative lookahead of the core<->manager domain pair):
-     * request/submission buffers go 0 -> this, the ready/retire/routing
-     * queues gain it on top of their 1-cycle base. 0 (the default) keeps
-     * the classic same-domain port timings. Ports must then be flipped
-     * into staging mode with PicosManager::bindPdesCoreBoundary().
-     */
-    Cycle pdesCoreLinkCycles = 0;
 };
 
 } // namespace picosim::manager

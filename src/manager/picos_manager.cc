@@ -11,19 +11,9 @@ PicosManager::PicosManager(const sim::Clock &clock,
                            picos::SchedulerIf &sched, unsigned num_cores,
                            const ManagerParams &params,
                            sim::StatGroup &stats, const std::string &prefix)
-    : PicosManager(clock, clock, sched, num_cores, params, stats, prefix)
-{
-}
-
-PicosManager::PicosManager(const sim::Clock &clock,
-                           const sim::Clock &coreClock,
-                           picos::SchedulerIf &sched, unsigned num_cores,
-                           const ManagerParams &params,
-                           sim::StatGroup &stats, const std::string &prefix)
     : sim::Ticked(prefix == "manager" ? "picosManager"
                                       : "picosManager." + prefix),
-      clock_(clock), coreClock_(coreClock), sched_(sched), params_(params),
-      prefix_(prefix),
+      clock_(clock), sched_(sched), params_(params), prefix_(prefix),
       submissionRequests_(&stats.scalar(prefix + ".submissionRequests")),
       packetsSubmitted_(&stats.scalar(prefix + ".packetsSubmitted")),
       tripleSubmits_(&stats.scalar(prefix + ".tripleSubmits")),
@@ -35,9 +25,7 @@ PicosManager::PicosManager(const sim::Clock &clock,
       readyDelivered_(&stats.scalar(prefix + ".readyDelivered")),
       finalBuffer_(clock, {params.finalBufferDepth, 0, 0}, &stats,
                    prefix_ + ".finalBuffer"),
-      routingQueue_(clock,
-                    {params.routingQueueDepth,
-                     /*latency=*/1 + params.pdesCoreLinkCycles, 0},
+      routingQueue_(clock, {params.routingQueueDepth, /*latency=*/1, 0},
                     &stats, prefix_ + ".routingQueue", this),
       roccReadyQueue_(clock, {params.roccReadyQueueDepth, 0, 0}, &stats,
                       prefix_ + ".roccReadyQueue")
@@ -46,7 +34,7 @@ PicosManager::PicosManager(const sim::Clock &clock,
         sim::fatal("PicosManager needs at least one core");
     ports_.reserve(num_cores);
     for (unsigned i = 0; i < num_cores; ++i)
-        ports_.emplace_back(clock, coreClock, params, stats,
+        ports_.emplace_back(clock, params, stats,
                             prefix_ + ".core" + std::to_string(i), this);
     // The packet encoder consumes Picos's ready interface; have Picos wake
     // this manager when ready packets become visible to it.
@@ -78,34 +66,6 @@ PicosManager::reset()
     errorCode_ = 0;
 }
 
-void
-PicosManager::bindPdesCoreBoundary(sim::Simulator &sim)
-{
-    if (params_.pdesCoreLinkCycles == 0)
-        sim::fatal("PicosManager '" + prefix_ +
-                   "': bindPdesCoreBoundary without pdesCoreLinkCycles "
-                   ">= 1 (the core<->manager hop is the domain pair's "
-                   "conservative lookahead)");
-    coreSplit_ = true;
-    for (CorePort &port : ports_) {
-        // Core-domain producers into this manager's domain...
-        port.requestQueue.enableCrossDomainStaging(sim, coreClock_);
-        port.subBuffer.enableCrossDomainStaging(sim, coreClock_);
-        port.retireBuffer.enableCrossDomainStaging(sim, coreClock_);
-        // ...and the private ready queue back the other way.
-        port.readyQueue.enableCrossDomainStaging(sim, clock_);
-        // The submission/retire occupancy counters were bumped by the
-        // delegate inline; across a domain boundary they move to the
-        // single-threaded boundary drain, so the arbiters only ever see
-        // requests that are visible (drained) on the manager side.
-        port.requestQueue.onStagedDrain(
-            [this](const unsigned &) { ++pendingRequests_; });
-        port.retireBuffer.onStagedDrain(
-            [this](const std::uint32_t &) { ++pendingRetires_; });
-    }
-    routingQueue_.enableCrossDomainStaging(sim, coreClock_);
-}
-
 // -- Delegate-facing interface ----------------------------------------
 
 bool
@@ -118,8 +78,7 @@ PicosManager::submissionRequest(CoreId core, unsigned num_packets)
     }
     if (!ports_.at(core).requestQueue.push(num_packets))
         return false;
-    if (!coreSplit_)
-        ++pendingRequests_; // split mode: counted at the boundary drain
+    ++pendingRequests_;
     ++*submissionRequests_;
     return true;
 }
@@ -170,9 +129,7 @@ rocc::ReadyTuple
 PicosManager::popReady(CoreId core)
 {
     CorePort &port = ports_.at(core);
-    // In the manager split readyOccupied_ is unused (stays 0): size() is
-    // the producer-side view, not this consumer thread's to read.
-    if (!coreSplit_ && port.readyQueue.size() == 1)
+    if (port.readyQueue.size() == 1)
         --readyOccupied_;
     // Freed private-queue space may let the work-fetch arbiter deliver.
     return port.readyQueue.popAndWakeOwner();
@@ -189,8 +146,7 @@ PicosManager::retirePush(CoreId core, std::uint32_t picos_id)
 {
     if (!ports_.at(core).retireBuffer.push(picos_id))
         return false;
-    if (!coreSplit_)
-        ++pendingRetires_; // split mode: counted at the boundary drain
+    ++pendingRetires_;
     ++*retirePackets_;
     return true;
 }
@@ -275,7 +231,7 @@ PicosManager::tickWorkFetchArbiter()
     if (!port.readyQueue.canPush())
         return;
     routingQueue_.pop();
-    if (!coreSplit_ && port.readyQueue.empty())
+    if (port.readyQueue.empty())
         ++readyOccupied_;
     port.readyQueue.push(roccReadyQueue_.pop());
     ++*readyDelivered_;
@@ -344,12 +300,8 @@ PicosManager::wakeAt() const
         wake = std::min(wake, port.retireBuffer.nextReadyCycle());
         // Not work for the manager itself, but the kernel must advance
         // the clock across the private-queue latency so a polling
-        // consumer (or a run predicate) can observe the delivery. In the
-        // manager split the consumer is another domain — it owns the
-        // resident items and self-wakes through its polling delay, so
-        // this producer must not read them.
-        if (!coreSplit_)
-            wake = std::min(wake, port.readyQueue.nextReadyCycle());
+        // consumer (or a run predicate) can observe the delivery.
+        wake = std::min(wake, port.readyQueue.nextReadyCycle());
     }
     return wake;
 }
@@ -385,10 +337,8 @@ PicosManager::nextSelfDue(Cycle next) const
         wake = std::min(wake, std::min(rr, rb));
         // Not work for the manager itself, but the kernel must advance
         // the clock across the private-queue latency so a polling
-        // consumer (or a run predicate) can observe the delivery — see
-        // wakeAt() for why the manager split must not read it.
-        if (!coreSplit_)
-            wake = std::min(wake, port.readyQueue.nextReadyCycle());
+        // consumer (or a run predicate) can observe the delivery.
+        wake = std::min(wake, port.readyQueue.nextReadyCycle());
     }
     return wake;
 }

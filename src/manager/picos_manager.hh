@@ -50,28 +50,6 @@ class PicosManager final : public sim::Ticked
                  unsigned num_cores, const ManagerParams &params,
                  sim::StatGroup &stats, const std::string &prefix = "manager");
 
-    /**
-     * PDES split form: @p clock is the manager's own domain clock,
-     * @p coreClock the clock of the domain its cores (delegates) live
-     * in — the private ready queues are bound to it so the harts'
-     * peekReady() polls read their own domain's time. Requires
-     * params.pdesCoreLinkCycles >= 1; call bindPdesCoreBoundary() after
-     * every component is registered. With both clocks equal and
-     * pdesCoreLinkCycles == 0 this is exactly the classic constructor.
-     */
-    PicosManager(const sim::Clock &clock, const sim::Clock &coreClock,
-                 picos::SchedulerIf &sched, unsigned num_cores,
-                 const ManagerParams &params, sim::StatGroup &stats,
-                 const std::string &prefix = "manager");
-
-    /**
-     * Flip every delegate-facing port into cross-domain staging mode
-     * (the manager and its cores are in different PDES domains). The
-     * occupancy counters the delegate side used to bump inline move to
-     * boundary-drain hooks so no counter is written from two domains.
-     */
-    void bindPdesCoreBoundary(sim::Simulator &sim);
-
     // -- Delegate-facing interface (one "port" per core) --
 
     /** Announce a burst of @p num_packets non-zero submission packets. */
@@ -131,28 +109,16 @@ class PicosManager final : public sim::Ticked
      */
     struct CorePort
     {
-        /**
-         * Core->manager queues live on the manager's clock (it consumes
-         * them); the private ready queue lives on the CORE side's clock
-         * (the hart consumes it). In the classic same-domain build both
-         * clocks are the same object and pdesCoreLinkCycles is 0, so the
-         * latencies below reduce to the original {0, 0, 1, 1}.
-         */
-        CorePort(const sim::Clock &clock, const sim::Clock &coreClock,
-                 const ManagerParams &p, sim::StatGroup &stats,
-                 const std::string &prefix, sim::Ticked *owner)
-            : requestQueue(clock,
-                           {p.requestQueueDepth, p.pdesCoreLinkCycles, 0},
-                           &stats, prefix + ".requestQueue", owner),
-              subBuffer(clock, {p.subBufferDepth, p.pdesCoreLinkCycles, 0},
-                        &stats, prefix + ".subBuffer", owner),
-              readyQueue(coreClock,
-                         {p.coreReadyQueueDepth,
-                          /*latency=*/1 + p.pdesCoreLinkCycles, 0},
+        CorePort(const sim::Clock &clock, const ManagerParams &p,
+                 sim::StatGroup &stats, const std::string &prefix,
+                 sim::Ticked *owner)
+            : requestQueue(clock, {p.requestQueueDepth, 0, 0}, &stats,
+                           prefix + ".requestQueue", owner),
+              subBuffer(clock, {p.subBufferDepth, 0, 0}, &stats,
+                        prefix + ".subBuffer", owner),
+              readyQueue(clock, {p.coreReadyQueueDepth, /*latency=*/1, 0},
                          &stats, prefix + ".readyQueue", owner),
-              retireBuffer(clock,
-                           {p.retireBufferDepth,
-                            /*latency=*/1 + p.pdesCoreLinkCycles, 0},
+              retireBuffer(clock, {p.retireBufferDepth, /*latency=*/1, 0},
                            &stats, prefix + ".retireBuffer", owner)
         {
         }
@@ -169,20 +135,9 @@ class PicosManager final : public sim::Ticked
     void tickRetireArbiter();
 
     const sim::Clock &clock_;
-    const sim::Clock &coreClock_; ///< cores' domain clock (== clock_
-                                  ///< outside the PDES manager split)
     picos::SchedulerIf &sched_;
     ManagerParams params_;
     std::string prefix_; ///< statistic-name prefix of this instance
-
-    /**
-     * True after bindPdesCoreBoundary(): the delegate-facing ports stage
-     * cross-domain. The occupancy counters below are then maintained by
-     * drain hooks (coordinator context) and manager-side ticks only, and
-     * readyOccupied_ stays 0 — the manager never reads the consumer-owned
-     * side of the private ready queues.
-     */
-    bool coreSplit_ = false;
 
     // Cached per-instance counters (stat-registry nodes are stable);
     // the pipelines bump these on every packet and must not pay a

@@ -31,21 +31,12 @@ ShardedPicos::Shard::Shard(const sim::Clock &clock, const PicosParams &p,
 {
 }
 
-ShardedPicos::Cluster::Cluster(const sim::Clock &clock,
-                               const sim::Clock &readyClock,
-                               const PicosParams &p,
+ShardedPicos::Cluster::Cluster(const sim::Clock &clock, const PicosParams &p,
                                const TopologyParams &topo,
                                sim::StatGroup &stats, unsigned id,
                                sim::Ticked *owner)
-    // In PDES mode the cluster-link hop rides on the boundary ports'
-    // latency (where it doubles as conservative lookahead) instead of
-    // the gateway arbiter's grant offset — see tickRouters().
-    : subQueue(clock,
-               {p.subQueueDepth,
-                1 + (topo.pdesBoundaryPorts ? topo.clusterLinkCycles : 0),
-                0},
-               &stats, "sharded.c" + std::to_string(id) + ".subQueue",
-               owner),
+    : subQueue(clock, {p.subQueueDepth, 1, 0}, &stats,
+               "sharded.c" + std::to_string(id) + ".subQueue", owner),
       retireQueue(clock,
                   {p.retireQueueDepth, 1 + topo.clusterLinkCycles, 0},
                   &stats, "sharded.c" + std::to_string(id) + ".retireQueue",
@@ -53,25 +44,19 @@ ShardedPicos::Cluster::Cluster(const sim::Clock &clock,
       // One ready tuple (3 packets) buffered, deliberately shallower
       // than the single Picos's ready FIFO: a tuple sitting here is
       // pinned to this cluster, so deeper buffering would hoard work a
-      // dry neighbour could have stolen from readyPending. Bound to the
-      // manager-domain clock: the manager is its consumer.
-      readyQueue(readyClock,
-                 {3,
-                  1 + (topo.pdesBoundaryPorts ? topo.clusterLinkCycles : 0),
-                  0},
-                 &stats, "sharded.c" + std::to_string(id) + ".readyQueue")
+      // dry neighbour could have stolen from readyPending.
+      readyQueue(clock, {3, 1, 0}, &stats,
+                 "sharded.c" + std::to_string(id) + ".readyQueue")
 {
     collectBuffer.reserve(rocc::kDescriptorPackets);
 }
 
 ShardedPicos::ShardedPicos(const sim::Clock &clock,
-                           std::vector<const sim::Clock *> readyClocks,
                            const PicosParams &params,
                            const TopologyParams &topo,
                            sim::StatGroup &stats)
-    : sim::Ticked("shardedPicos"), clock_(clock),
-      readyClocks_(std::move(readyClocks)),
-      params_(params), topo_(topo), stats_(stats),
+    : sim::Ticked("shardedPicos"), clock_(clock), params_(params),
+      topo_(topo), stats_(stats),
       statSubPackets_(&stats.scalar("sharded.subPackets")),
       statRetirePackets_(&stats.scalar("sharded.retirePackets")),
       statDepEdges_(&stats.scalar("sharded.depEdges")),
@@ -89,9 +74,6 @@ ShardedPicos::ShardedPicos(const sim::Clock &clock,
 {
     if (topo_.schedShards == 0 || topo_.clusters == 0)
         sim::fatal("ShardedPicos needs at least one shard and one cluster");
-    if (readyClocks_.size() != topo_.clusters)
-        sim::fatal("ShardedPicos needs one manager-domain clock per "
-                   "cluster");
 
     tasks_.assign(std::size_t{topo_.schedShards} * params_.trsEntries,
                   TaskEntry{});
@@ -116,33 +98,10 @@ ShardedPicos::ShardedPicos(const sim::Clock &clock,
     clusters_.reserve(topo_.clusters);
     ports_.reserve(topo_.clusters);
     for (unsigned c = 0; c < topo_.clusters; ++c) {
-        clusters_.emplace_back(clock, *readyClocks_[c], params_, topo_,
-                               stats, c, this);
+        clusters_.emplace_back(clock, params_, topo_, stats, c, this);
         ports_.emplace_back(*this, c);
     }
     bindFastDispatch<ShardedPicos>();
-}
-
-void
-ShardedPicos::bindPdes(sim::Simulator &sim)
-{
-    for (unsigned c = 0; c < clusters_.size(); ++c) {
-        Cluster &cl = clusters_[c];
-        const sim::Clock &mgrClock = *readyClocks_[c];
-        // Manager-domain producers into this scheduler's domain...
-        cl.subQueue.enableCrossDomainStaging(sim, mgrClock);
-        cl.retireQueue.enableCrossDomainStaging(sim, mgrClock);
-        // ...and the ready return in the opposite direction.
-        cl.readyQueue.enableCrossDomainStaging(sim, clock_);
-        // The per-packet scalars the producing managers used to bump
-        // inline move to the boundary drain: with the managers spread
-        // over several domains, these shared counters must only ever be
-        // written from the single-threaded coordinator step.
-        cl.subQueue.onStagedDrain(
-            [this](const std::uint32_t &) { ++*statSubPackets_; });
-        cl.retireQueue.onStagedDrain(
-            [this](const std::uint32_t &) { ++*statRetirePackets_; });
-    }
 }
 
 SchedulerIf &
@@ -165,8 +124,7 @@ ShardedPicos::ClusterPort::subPush(std::uint32_t packet)
     Cluster &cl = sp_.clusters_[c_];
     if (!cl.subQueue.push(packet))
         return false;
-    if (!cl.subQueue.crossDomainStaging())
-        ++*sp_.statSubPackets_; // staged: counted at the boundary drain
+    ++*sp_.statSubPackets_;
     return true;
 }
 
@@ -179,11 +137,8 @@ ShardedPicos::ClusterPort::readyValid() const
 std::uint32_t
 ShardedPicos::ClusterPort::readyPop()
 {
-    // Freed ready-queue space may unblock a stalled packet issue. The
-    // wake cycle is clamped to the scheduler domain's own current cycle
-    // (or the next window boundary when the caller is cross-domain), so
-    // pass 0 rather than reading another domain's clock.
-    sp_.requestWake(0);
+    // Freed ready-queue space may unblock a stalled packet issue.
+    sp_.requestWake(sp_.clock_.now());
     return sp_.clusters_[c_].readyQueue.pop();
 }
 
@@ -205,8 +160,7 @@ ShardedPicos::ClusterPort::retirePush(std::uint32_t picos_id)
     Cluster &cl = sp_.clusters_[c_];
     if (!cl.retireQueue.push(picos_id))
         return false;
-    if (!cl.retireQueue.crossDomainStaging())
-        ++*sp_.statRetirePackets_; // staged: counted at boundary drain
+    ++*sp_.statRetirePackets_;
     return true;
 }
 
@@ -520,11 +474,8 @@ ShardedPicos::tickRouters()
             Shard &sh = shards_[s];
             if (sh.inQueue.size() < topo_.gatewayQueueDepth) {
                 const Cycle occ = descOccupancy(cl.decoded, s);
-                // In PDES mode the link hop was already charged by the
-                // submission port's latency; don't charge it twice.
-                const Cycle link_hop =
-                    topo_.pdesBoundaryPorts ? 0 : topo_.clusterLinkCycles;
-                const Cycle grant = sh.gate.grant(now + link_hop, occ);
+                const Cycle grant =
+                    sh.gate.grant(now + topo_.clusterLinkCycles, occ);
                 sh.inQueue.push_back(
                     PendingDesc{grant + occ, std::move(cl.decoded), c});
                 cl.hasDecoded = false;
@@ -626,7 +577,7 @@ ShardedPicos::nextDue() const
         // A down shard services nothing until it heals: defer its
         // sources to the heal cycle (or never) instead of polling
         // through the outage. The gate is a pure function of the
-        // domain clock, so the deferral is deterministic.
+        // clock, so the deferral is deterministic.
         const bool down = shardDown(s);
         if (sh.gwTaskId >= 0)
             merge(gateFault(poll, down)); // dep-table stall retry
@@ -641,9 +592,6 @@ ShardedPicos::nextDue() const
         if (!cl.collectBuffer.empty() || cl.hasDecoded)
             merge(gateFault(poll, linkDown));
         merge(gateFault(cl.subQueue.nextReadyCycle(), linkDown));
-        // Consumer-side view only (nextReadyCycle reads resident items,
-        // never the producer's staging state): non-empty iff an item is
-        // resident, exactly what the old empty() test established.
         const Cycle retire_ready = cl.retireQueue.nextReadyCycle();
         if (retire_ready != kCycleNever) {
             // A consumable head homed on a down shard is head-of-line
@@ -662,12 +610,8 @@ ShardedPicos::nextDue() const
         if (!cl.readyPending.empty())
             merge(poll);
         // Surface pending ready packets so the cluster's manager gets
-        // the clock advanced across the queue latency. In PDES mode the
-        // manager owns those items (other domain) — its wake comes from
-        // the boundary drain instead, and this scheduler must not read
-        // consumer-owned state.
-        if (!topo_.pdesBoundaryPorts)
-            merge(cl.readyQueue.nextReadyCycle());
+        // the clock advanced across the queue latency.
+        merge(cl.readyQueue.nextReadyCycle());
     }
     return due;
 }

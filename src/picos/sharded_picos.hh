@@ -57,60 +57,22 @@ class ShardedPicos final : public sim::Ticked
 {
   public:
     ShardedPicos(const sim::Clock &clock, const PicosParams &params,
-                 const TopologyParams &topo, sim::StatGroup &stats)
-        : ShardedPicos(clock, clock, params, topo, stats)
-    {
-    }
-
-    /**
-     * PDES form: @p clock is the scheduler's own (consumer) domain
-     * clock, @p readyClock the clock of the domain the per-cluster
-     * managers live in — the ready-return ports are bound to it so the
-     * managers' frontReady() checks read their own domain's time. With
-     * both arguments equal this is exactly the classic constructor.
-     */
-    ShardedPicos(const sim::Clock &clock, const sim::Clock &readyClock,
-                 const PicosParams &params, const TopologyParams &topo,
-                 sim::StatGroup &stats)
-        : ShardedPicos(clock,
-                       std::vector<const sim::Clock *>(
-                           std::max(1u, topo.clusters), &readyClock),
-                       params, topo, stats)
-    {
-    }
-
-    /**
-     * Many-domain PDES form: one manager-domain clock per cluster (the
-     * partitioner may spread the per-cluster managers over several
-     * domains). @p readyClocks must hold topo.clusters entries; cluster
-     * c's ready-return port is bound to readyClocks[c].
-     */
-    ShardedPicos(const sim::Clock &clock,
-                 std::vector<const sim::Clock *> readyClocks,
-                 const PicosParams &params, const TopologyParams &topo,
-                 sim::StatGroup &stats);
+                 const TopologyParams &topo, sim::StatGroup &stats);
 
     /** The SchedulerIf endpoint cluster @p c's manager connects to. */
     SchedulerIf &clusterPort(unsigned c);
 
     /**
-     * Arm a KillShard/StallLink fault: while the scheduler-domain clock
+     * Arm a KillShard/StallLink fault: while the scheduler's clock
      * is inside [plan.cycle, plan.until) — forever from plan.cycle when
      * plan.until is 0 — the target shard stops notifying, retiring and
      * decoding (KillShard), or the target cluster's submission fabric
      * stops moving (StallLink). Backpressure does the rest: upstream
      * queues fill and the system stalls exactly as a real outage would.
      * The down predicate is a pure function of the simulated clock, so
-     * faulted runs stay deterministic in both kernels and under PDES.
+     * faulted runs stay deterministic in both kernels.
      */
     void setFault(const sim::FaultPlan &plan) { fault_ = plan; }
-
-    /**
-     * Flip every manager<->scheduler port into cross-domain staging mode
-     * (topology.pdesBoundaryPorts must have shaped the port latencies).
-     * Call after all components are registered with @p sim.
-     */
-    void bindPdes(sim::Simulator &sim);
 
     // -- Ticked --
     void tick() override;
@@ -176,8 +138,8 @@ class ShardedPicos final : public sim::Ticked
 
     struct Cluster
     {
-        Cluster(const sim::Clock &clock, const sim::Clock &readyClock,
-                const PicosParams &p, const TopologyParams &topo,
+        Cluster(const sim::Clock &clock, const PicosParams &p,
+                const TopologyParams &topo,
                 sim::StatGroup &stats, unsigned id, sim::Ticked *owner);
 
         sim::TimedPort<std::uint32_t> subQueue;    ///< manager -> router
@@ -280,8 +242,6 @@ class ShardedPicos final : public sim::Ticked
     }
 
     const sim::Clock &clock_;
-    /** Per-cluster manager-domain clocks (PDES); all &clock_ classic. */
-    std::vector<const sim::Clock *> readyClocks_;
     PicosParams params_;
     TopologyParams topo_;
     sim::StatGroup &stats_;

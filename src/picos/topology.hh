@@ -47,16 +47,6 @@ struct TopologyParams
     /** Decoded-descriptor slots buffered at each shard's gateway. */
     unsigned gatewayQueueDepth = 4;
 
-    /**
-     * Set by System when the scheduler runs in its own PDES domain: the
-     * manager<->scheduler ports become cross-domain staging links, and
-     * the cluster-link latency moves from the gateway arbiter into the
-     * submission port so it can serve as conservative lookahead. An
-     * opt-in timing configuration — bit-identical across host thread
-     * counts, but not to the non-partitioned run.
-     */
-    bool pdesBoundaryPorts = false;
-
     /** True when the single centralized Picos path must be constructed. */
     bool
     singlePicos() const

@@ -6,9 +6,8 @@
  * driver, the job manager, a signal handler) and the harness executing a
  * run. The controller calls cancel() once; the harness polls cancelled()
  * only at deterministic simulation boundaries — before starting the next
- * run of a batch, at the sequential kernel's cycle-dispatch boundary,
- * and at conservative-PDES window barriers — so a cancelled run stops at
- * a clean schedule point and every run it shared a batch with produces
+ * run of a batch and at the kernel's cycle-dispatch boundary — so a
+ * cancelled run stops at a clean schedule point and every run it shared a batch with produces
  * results bit-identical to a solo execution (each run simulates a
  * private System; cancellation never mutates another run's state).
  *

@@ -137,8 +137,8 @@ armCheckpoints(cpu::System &sys, const RunControls &ctl)
     // Resume without periodic checkpoints: arm the stride at exactly
     // the recorded cut so the replay re-fires at the original boundary
     // (the first firing at or past cycle C reproduces label C — the
-    // window sequence and dispatch schedule are deterministic, and C is
-    // itself a label of the original run; see DESIGN.md).
+    // dispatch schedule is deterministic, and C is itself a label of the
+    // original run; see DESIGN.md).
     const Cycle every =
         ctl.checkpointEvery != 0
             ? ctl.checkpointEvery
@@ -153,7 +153,8 @@ armCheckpoints(cpu::System &sys, const RunControls &ctl)
     const bool dumps = ctl.checkpointDumps;
     const auto cb = ctl.onCheckpoint;
     sys.simulator().setCheckpointHook(
-        // The hook runs inside the (noexcept under PDES) run loop, so
+        // The hook must not throw (an exception would escape the run
+        // loop and lose the run's result; see sim::CheckpointHook), so
         // every failure path — user callback throw, OOM in the dump —
         // is converted into a mismatch record the harness epilogue
         // turns into RunStatus::Error.

@@ -33,9 +33,9 @@ std::unique_ptr<Runtime> makeRuntime(RuntimeKind kind, const CostModel &cm);
 
 /**
  * Cooperative stop conditions for one run. All of them are polled only
- * at deterministic simulation boundaries (cycle-dispatch stride in the
- * sequential kernels, every window barrier under PDES), so a stopped
- * run ends at a clean schedule point and concurrent runs are unaffected.
+ * at deterministic simulation boundaries (the kernel's cycle-dispatch
+ * stride), so a stopped run ends at a clean schedule point and
+ * concurrent runs are unaffected.
  * Cancellation wins over the deadline when both fire.
  */
 struct RunControls

@@ -5,6 +5,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <iostream>
+#include <set>
 #include <sstream>
 
 #include "runtime/cancel.hh"
@@ -273,10 +274,9 @@ JobManager::submit(JobSpec spec)
 
 std::uint64_t
 JobManager::submitText(const std::string &text, double timeoutSec,
-                       std::string tag,
-                       std::vector<std::string> *warnings)
+                       std::string tag)
 {
-    const spec::RunSpec parsed = spec::RunSpec::parse(text, warnings);
+    const spec::RunSpec parsed = spec::RunSpec::parse(text);
     const RunPlan plan = RunPlan::make({parsed});
 
     JobSpec js;
@@ -618,12 +618,17 @@ JobManager::workerLoop()
 /** Rebuild jobs_/queue_/lastId_ from the journal in @p dir, then
  *  compact it. Ctor-only: runs single-threaded before the pool starts,
  *  so no locking. Torn/corrupt tails and unreplayable records are
- *  skipped with a loud stderr warning — never silently. */
+ *  skipped with a loud stderr warning — never silently. A job whose
+ *  submit record cannot be replayed (e.g. its spec names a removed
+ *  key) is not recovered, but all of its records are carried through
+ *  compaction verbatim, so its stored results stay on disk. */
 void
 JobManager::recover(const std::string &dir)
 {
     const std::vector<std::string> records =
         Journal::readAll(dir, &std::cerr);
+    std::set<std::uint64_t> keptIds;
+    std::vector<std::string> kept;
 
     for (const std::string &payload : records) {
         std::map<std::string, std::string> kv;
@@ -642,10 +647,15 @@ JobManager::recover(const std::string &dir)
             return std::strtoull(get(key).c_str(), nullptr, 10);
         };
         const std::string type = get("type");
+        const std::uint64_t recId = getU64("id");
+        if (keptIds.count(recId) != 0) {
+            kept.push_back(payload);
+            continue;
+        }
         try {
             if (type == "submit") {
                 auto rec = std::make_unique<Rec>();
-                rec->id = getU64("id");
+                rec->id = recId;
                 rec->spec.tag = get("tag");
                 rec->timeoutSec = std::strtod(get("timeout").c_str(),
                                               nullptr);
@@ -668,12 +678,12 @@ JobManager::recover(const std::string &dir)
                 lastId_ = std::max(lastId_, rec->id);
                 jobs_[rec->id] = std::move(rec);
             } else if (type == "state") {
-                if (Rec *rec = find(getU64("id"))) {
+                if (Rec *rec = find(recId)) {
                     rec->state = jobStateFromName(get("state"));
                     rec->error = get("error");
                 }
             } else if (type == "row") {
-                Rec *rec = find(getU64("id"));
+                Rec *rec = find(recId);
                 const std::size_t run =
                     static_cast<std::size_t>(getU64("run"));
                 if (rec != nullptr && run < rec->rows.size()) {
@@ -683,7 +693,7 @@ JobManager::recover(const std::string &dir)
                     row.done = true;
                 }
             } else if (type == "checkpoint") {
-                Rec *rec = find(getU64("id"));
+                Rec *rec = find(recId);
                 const std::size_t run =
                     static_cast<std::size_t>(getU64("run"));
                 if (rec != nullptr && run < rec->resumeCp.size()) {
@@ -700,8 +710,18 @@ JobManager::recover(const std::string &dir)
                           << type << "' skipped\n";
             }
         } catch (const std::exception &e) {
-            std::cerr << "picosim journal: record replay failed ("
-                      << e.what() << "); skipped\n";
+            if (type != "submit") {
+                std::cerr << "picosim journal: record replay failed ("
+                          << e.what() << "); skipped\n";
+                continue;
+            }
+            std::cerr << "picosim journal: job " << recId
+                      << " cannot be replayed (" << e.what()
+                      << "); its records are kept in the journal "
+                         "unchanged\n";
+            keptIds.insert(recId);
+            kept.push_back(payload);
+            lastId_ = std::max(lastId_, recId); // never reuse its id
         }
     }
 
@@ -748,6 +768,7 @@ JobManager::recover(const std::string &dir)
         if (jobStateFinal(rec->state))
             compacted.push_back(rec->stateRecord());
     }
+    compacted.insert(compacted.end(), kept.begin(), kept.end());
     Journal::rewrite(dir, compacted);
 }
 

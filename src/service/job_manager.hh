@@ -80,12 +80,10 @@ class JobManager
      * Parse @p text as one RunSpec (key=value or flat JSON; errors are
      * spec::SpecError verbatim), expand it exactly like `picosim_run`
      * (RunPlan: main run + serial baseline, × repeat) and submit the
-     * expansion as one job. Canonicalization warnings land in
-     * @p warnings when given.
+     * expansion as one job.
      */
     std::uint64_t submitText(const std::string &text,
-                             double timeoutSec = 0.0, std::string tag = {},
-                             std::vector<std::string> *warnings = nullptr);
+                             double timeoutSec = 0.0, std::string tag = {});
 
     /** Request cancellation. Queued jobs finalize immediately; running
      *  jobs stop at the next deterministic boundary. False when the id

@@ -185,16 +185,11 @@ Server::cmdSubmit(int fd, wire::LineReader &in, const std::string &line)
         return; // client went away mid-submit
 
     try {
-        std::vector<std::string> warnings;
-        const std::uint64_t id =
-            manager_.submitText(body, timeoutSec, tag, &warnings);
-        std::string reply;
-        for (const std::string &w : warnings)
-            reply += "WARN " + wire::jsonString(w) + "\n";
+        const std::uint64_t id = manager_.submitText(body, timeoutSec, tag);
         const auto st = manager_.status(id);
-        reply += "OK " + std::to_string(id) +
-                 " runs=" + std::to_string(st ? st->runsTotal : 0) + "\n";
-        wire::sendAll(fd, reply);
+        wire::sendAll(fd, "OK " + std::to_string(id) + " runs=" +
+                              std::to_string(st ? st->runsTotal : 0) +
+                              "\n");
     } catch (const std::exception &e) {
         // Spec validation IS RunSpec parsing: the message (with its
         // "did you mean" suggestion) crosses the wire verbatim.

@@ -17,7 +17,7 @@
  * Replies:
  *
  *   PING     → PONG
- *   SUBMIT   → WARN <json-string>…, then OK <id> runs=<n> | ERR <json>
+ *   SUBMIT   → OK <id> runs=<n> | ERR <json-string>
  *   STATUS   → OK <id> state=<state> done=<d> total=<t> tag=<json>
  *              error=<json> | ERR <json-string>
  *   RESULT   → ROW <idx> <json-object>… streamed as runs complete (in
@@ -62,7 +62,7 @@ rt::RunResult runResultFromJson(const std::string &json);
  */
 std::map<std::string, std::string> parseFlatJson(const std::string &text);
 
-/** Parse a standalone JSON string literal (for ERR/WARN payloads). */
+/** Parse a standalone JSON string literal (for ERR payloads). */
 std::string parseJsonString(const std::string &text);
 
 // -- Minimal socket plumbing shared by server and client ----------------

@@ -30,10 +30,9 @@ namespace picosim::sim
 
 /**
  * One deterministic cut point of a run. @c cycle is the boundary label
- * (a multiple of the checkpoint stride on sequential kernels; a window
- * barrier cycle under PDES), @c seq counts checkpoints taken in this
- * run (1-based), and @c digest is FNV-1a over the full stat dump text
- * at the boundary. @c statDump optionally carries the dump itself
+ * (a multiple of the checkpoint stride), @c seq counts checkpoints
+ * taken in this run (1-based), and @c digest is FNV-1a over the full
+ * stat dump text at the boundary. @c statDump optionally carries the dump itself
  * (for divergence diagnostics; empty unless requested).
  */
 struct Checkpoint

@@ -4,10 +4,10 @@
  * inject mid-run, carried on the spec (fault.* keys) down to the model.
  *
  * Faults are a pure function of the simulated clock — a component is
- * "down" exactly when its domain clock is inside [cycle, until) — so an
+ * "down" exactly when the clock is inside [cycle, until) — so an
  * injected fault is as deterministic as the rest of the schedule: the
- * same spec produces the same faulted run in both kernels and at any
- * PDES host-thread count.
+ * same spec produces the same faulted run in both kernels and on every
+ * rerun.
  */
 
 #ifndef PICOSIM_SIM_FAULT_HH

@@ -15,167 +15,20 @@ Ticked::requestWake(Cycle cycle)
         sim_->requestWake(this, cycle);
 }
 
-Domain &
-Simulator::domainAt(unsigned d)
-{
-    return d == 0 ? main_ : *extraDomains_[d - 1];
-}
-
-const Domain &
-Simulator::domainAt(unsigned d) const
-{
-    return d == 0 ? main_ : *extraDomains_[d - 1];
-}
-
-unsigned
-Simulator::domainOfClock(const Clock &clk) const
-{
-    for (unsigned d = 0; d < numDomains(); ++d)
-        if (&domainAt(d).clock == &clk)
-            return d;
-    fatal("domainOfClock: clock does not belong to any domain");
-}
-
-std::uint64_t
-Simulator::domainWindowsRun(unsigned d) const
-{
-    return domainAt(d).windowsRun;
-}
-
-std::uint64_t
-Simulator::domainWindowsSkipped(unsigned d) const
-{
-    return domainAt(d).windowsSkipped;
-}
-
-const Clock &
-Simulator::domainClock(unsigned d) const
-{
-    return d == 0 ? main_.clock : extraDomains_.at(d - 1)->clock;
-}
-
-std::uint64_t
-Simulator::componentTicks() const
-{
-    std::uint64_t ticks = main_.componentTicks;
-    for (const auto &d : extraDomains_)
-        ticks += d->componentTicks;
-    return ticks;
-}
-
-std::size_t
-Simulator::numComponents() const
-{
-    std::size_t n = main_.ticked.size();
-    for (const auto &d : extraDomains_)
-        n += d->ticked.size();
-    return n;
-}
-
 void
-Simulator::configureDomains(unsigned count)
-{
-    if (numComponents() != 0)
-        fatal("configureDomains must precede component registration");
-    if (!extraDomains_.empty())
-        fatal("configureDomains called twice");
-    if (count <= 1)
-        return; // sequential fallback: stay on the unpartitioned path
-    if (mode_ == EvalMode::TickWorld)
-        fatal("PDES domains are incompatible with the TickWorld "
-              "reference kernel");
-    extraDomains_.reserve(count - 1);
-    for (unsigned d = 1; d < count; ++d) {
-        extraDomains_.push_back(std::make_unique<Domain>());
-        extraDomains_.back()->id = d;
-    }
-    main_.outbox.resize(count);
-    for (auto &d : extraDomains_)
-        d->outbox.resize(count);
-    pairMin_.assign(static_cast<std::size_t>(count) * count, kCycleNever);
-    minOut_.assign(count, kCycleNever);
-    windowed_ = true;
-}
-
-unsigned
-Simulator::registerCrossDomainLink(unsigned src, unsigned dst,
-                                   Cycle latency,
-                                   std::function<void()> drain,
-                                   std::string name)
-{
-    if (!windowed_)
-        fatal("registerCrossDomainLink on an unpartitioned Simulator");
-    if (latency == 0)
-        fatal("cross-domain link '" +
-              (name.empty() ? std::string("<unnamed>") : name) +
-              "' has latency 0: conservative lookahead would be empty "
-              "(every cross-domain timed link needs latency >= 1)");
-    const bool allPairs = src == CrossDomainLink::kAllPairs;
-    if (allPairs != (dst == CrossDomainLink::kAllPairs))
-        fatal("cross-domain link '" + name +
-              "' mixes a concrete endpoint with kAllPairs");
-    if (!allPairs) {
-        if (src >= numDomains() || dst >= numDomains())
-            fatal("cross-domain link '" + name +
-                  "' references a nonexistent domain");
-        if (src == dst)
-            fatal("cross-domain link '" + name +
-                  "' has both endpoints in domain " + std::to_string(src));
-        pairMin_[static_cast<std::size_t>(src) * numDomains() + dst] =
-            std::min(pairMin_[static_cast<std::size_t>(src) * numDomains() +
-                              dst],
-                     latency);
-        minOut_[src] = std::min(minOut_[src], latency);
-    } else {
-        allPairsMin_ = std::min(allPairsMin_, latency);
-    }
-    lookaheadMin_ = std::min(lookaheadMin_, latency);
-    const unsigned id = static_cast<unsigned>(crossLinks_.size());
-    crossLinks_.push_back(
-        CrossDomainLink{src, dst, latency, std::move(drain),
-                        std::move(name)});
-    // Endpoint-less links have no producer-side dirty marking, so they
-    // drain at every boundary (see drainBoundary).
-    if (allPairs)
-        allPairsLinks_.push_back(id);
-    return id;
-}
-
-Cycle
-Simulator::pairLookahead(unsigned src, unsigned dst) const
-{
-    const Cycle pair =
-        pairMin_[static_cast<std::size_t>(src) * numDomains() + dst];
-    return std::min(pair, allPairsMin_);
-}
-
-Cycle
-Simulator::minOutLookahead(unsigned src) const
-{
-    return std::min(minOut_[src], allPairsMin_);
-}
-
-void
-Simulator::addTicked(Ticked *component, unsigned domain)
+Simulator::addTicked(Ticked *component)
 {
     if (component->sim_ && component->sim_ != this)
         fatal("Ticked '" + component->name() +
               "' already registered with another Simulator");
-    if (domain >= numDomains())
-        fatal("Ticked '" + component->name() +
-              "' registered into nonexistent domain");
-    Domain &d = domainAt(domain);
     component->sim_ = this;
-    component->domain_ = domain;
-    component->regIndex_ = static_cast<unsigned>(d.ticked.size());
-    d.ticked.push_back(component);
-    d.wheel.addComponent(component->regIndex_);
+    component->regIndex_ = static_cast<unsigned>(ticked_.size());
+    ticked_.push_back(component);
+    wheel_.addComponent(component->regIndex_);
     // Initial evaluation at the current cycle, like the reference kernel's
     // first tick-the-world pass.
-    addExternal(component, d.clock.now());
-    arm(d, component, d.clock.now());
-    if (windowed_)
-        d.cachedNext = std::min(d.cachedNext, d.clock.now());
+    addExternal(component, clock_.now());
+    arm(component, clock_.now());
 }
 
 void
@@ -208,83 +61,59 @@ Simulator::consumeExternalHead(Ticked *t)
 }
 
 void
-Simulator::disarm(Domain &d, Ticked *t)
+Simulator::disarm(Ticked *t)
 {
     if (t->armedAt_ == kCycleNever)
         return;
     if (t->far_) {
         t->far_ = false;
-        if (--d.farCount == 0)
-            d.farMin = kCycleNever;
+        if (--farCount_ == 0)
+            farMin_ = kCycleNever;
     } else {
-        d.wheel.clear(t->regIndex_, t->armedAt_);
+        wheel_.clear(t->regIndex_, t->armedAt_);
     }
     t->armedAt_ = kCycleNever;
 }
 
 void
-Simulator::arm(Domain &d, Ticked *t, Cycle now)
+Simulator::arm(Ticked *t, Cycle now)
 {
     const Cycle due = std::min(t->selfSched_, t->extHead_);
     if (due == t->armedAt_)
         return; // already armed at its due cycle
-    disarm(d, t);
+    disarm(t);
     if (due == kCycleNever)
         return;
     t->armedAt_ = due;
     if (due - now < EventWheel::kBuckets) {
-        d.wheel.set(t->regIndex_, due);
+        wheel_.set(t->regIndex_, due);
     } else {
         t->far_ = true;
-        ++d.farCount;
-        d.farMin = std::min(d.farMin, due);
+        ++farCount_;
+        farMin_ = std::min(farMin_, due);
     }
 }
 
 void
-Simulator::refileFar(Domain &d, Cycle now)
+Simulator::refileFar(Cycle now)
 {
-    if (d.farCount == 0 || d.farMin - now >= EventWheel::kBuckets)
+    if (farCount_ == 0 || farMin_ - now >= EventWheel::kBuckets)
         return;
     // At least one far component may have entered the horizon (farMin is
     // a conservative lower bound); re-derive the far set exactly.
     Cycle newMin = kCycleNever;
-    for (Ticked *t : d.ticked) {
+    for (Ticked *t : ticked_) {
         if (!t->far_)
             continue;
         if (t->armedAt_ - now < EventWheel::kBuckets) {
             t->far_ = false;
-            --d.farCount;
-            d.wheel.set(t->regIndex_, t->armedAt_);
+            --farCount_;
+            wheel_.set(t->regIndex_, t->armedAt_);
         } else {
             newMin = std::min(newMin, t->armedAt_);
         }
     }
-    d.farMin = newMin;
-}
-
-void
-Simulator::applyLocalWake(Domain &d, Ticked *component, Cycle cycle)
-{
-    const Cycle now = d.clock.now();
-    Cycle c = std::max(cycle, now);
-    if (c == now && d.evaluating &&
-        (component->lastTick_ == now ||
-         component->regIndex_ <= d.currentRegIndex)) {
-        // The component's evaluation slot for this cycle has passed; the
-        // reference kernel would make this state visible to it next cycle.
-        c = now + 1;
-    }
-    if (c == kCycleNever)
-        return;
-    addExternal(component, c);
-    arm(d, component, now);
-    // Keep the domain's cached next-event bound valid: the freshly armed
-    // cycle is a genuine due candidate. Window exits overwrite this with
-    // the exact refresh value, so the cache only ever under-approximates
-    // (which shortens windows but never skips real work).
-    if (windowed_ && component->armedAt_ != kCycleNever)
-        d.cachedNext = std::min(d.cachedNext, component->armedAt_);
+    farMin_ = newMin;
 }
 
 void
@@ -292,47 +121,55 @@ Simulator::requestWake(Ticked *component, Cycle cycle)
 {
     if (mode_ == EvalMode::TickWorld)
         return; // the polling kernel re-queries everything each cycle
-    if (windowed_) {
-        requestWakeWindowed(component, cycle);
-        return;
+    const Cycle now = clock_.now();
+    Cycle c = std::max(cycle, now);
+    if (c == now && evaluating_ &&
+        (component->lastTick_ == now ||
+         component->regIndex_ <= currentRegIndex_)) {
+        // The component's evaluation slot for this cycle has passed; the
+        // reference kernel would make this state visible to it next cycle.
+        c = now + 1;
     }
-    applyLocalWake(main_, component, cycle);
+    if (c == kCycleNever)
+        return;
+    addExternal(component, c);
+    arm(component, now);
 }
 
 void
-Simulator::evaluateDue(Domain &d)
+Simulator::evaluateDue()
 {
-    const Cycle now = d.clock.now();
-    refileFar(d, now);
+    const Cycle now = clock_.now();
+    refileFar(now);
 
     bool tickedAny = false;
-    d.evaluating = true;
-    const unsigned nwords = d.wheel.numWords();
+    evaluating_ = true;
+    const unsigned nwords = wheel_.numWords();
     for (unsigned w = 0; w < nwords; ++w) {
         // The word is re-read after every dispatch: a tick may wake a
         // LATER-registered component for this same cycle (bits at or
         // below the current slot slip to the next cycle in requestWake),
         // so the live view preserves registration-order dispatch.
         std::uint64_t bits;
-        while ((bits = d.wheel.word(now, w)) != 0) {
+        while ((bits = wheel_.word(now, w)) != 0) {
             const unsigned r =
                 w * 64 + static_cast<unsigned>(std::countr_zero(bits));
-            d.wheel.clearBit(now, r);
-            Ticked *t = d.ticked[r];
+            wheel_.clearBit(now, r);
+            Ticked *t = ticked_[r];
             t->armedAt_ = kCycleNever;
             if (t->extHead_ == now)
                 consumeExternalHead(t); // tracked wake consumed
             if (t->selfSched_ == now)
                 t->selfSched_ = kCycleNever;
             if (t->lastTick_ == now) {
-                arm(d, t, now);
+                arm(t, now);
                 continue; // already evaluated this cycle
             }
             t->lastTick_ = now;
-            d.currentRegIndex = r;
+            currentRegIndex_ = r;
 
             t->fastTick();
-            ++d.componentTicks;
+            ++componentTicks_;
             tickedAny = true;
 
             // Re-arm at the component's own next due cycle; wakes
@@ -341,49 +178,41 @@ Simulator::evaluateDue(Domain &d)
             t->selfSched_ = self == kCycleNever
                                 ? kCycleNever
                                 : std::max(self, now + 1);
-            arm(d, t, now);
+            arm(t, now);
         }
     }
-    d.evaluating = false;
-    if (tickedAny) {
-        if (windowed_)
-            d.windowCycles.push_back(now); // deduped across domains later
-        else
-            ++evaluatedCycles_;
-    }
+    evaluating_ = false;
+    if (tickedAny)
+        ++evaluatedCycles_;
 }
 
 Cycle
-Simulator::refreshNextEventCycle(Domain &d)
+Simulator::refreshNextEventCycle()
 {
-    const Cycle now = d.clock.now();
+    const Cycle now = clock_.now();
     // Dense-phase fast path: something is armed for the immediately next
     // cycle, which no revalidation could beat (armed cycles are >= now,
     // and re-validated self-schedules clamp to now + 1 as well). A stale
     // self-schedule costs at most one idle evaluation and re-arms itself
-    // from live state — results are unaffected. The path must yield to a
-    // bit armed AT the current cycle first: a window-boundary wake can
-    // land on the consumer's parked clock (a redundant wake at a stale
-    // queue-front ready cycle), and jumping to now + 1 would advance the
-    // clock past that slot and strand the entry in the wheel forever.
-    // Re-evaluating `now` instead matches the sequential loop exactly —
-    // already-ticked components are shielded by the lastTick_ guard.
-    if (!d.wheel.anyAt(now) && d.wheel.anyAt(now + 1))
+    // from live state — results are unaffected. Nothing can be armed AT
+    // `now` here: evaluateDue() re-reads each mask word until it is
+    // empty, and wakes for a slot that has passed slip to now + 1.
+    if (wheel_.anyAt(now + 1))
         return now + 1;
     while (true) {
-        refileFar(d, now);
-        Cycle c = d.wheel.firstOnOrAfter(now);
+        refileFar(now);
+        Cycle c = wheel_.firstOnOrAfter(now);
         bool inWheel = true;
         if (c == kCycleNever) {
-            if (d.farCount == 0)
+            if (farCount_ == 0)
                 return kCycleNever;
             // Nothing within the horizon: the minimum lives in the far
             // set (re-derive it exactly; farMin is a lower bound).
             c = kCycleNever;
-            for (Ticked *t : d.ticked)
+            for (Ticked *t : ticked_)
                 if (t->far_)
                     c = std::min(c, t->armedAt_);
-            d.farMin = c;
+            farMin_ = c;
             inWheel = false;
         }
 
@@ -415,24 +244,24 @@ Simulator::refreshNextEventCycle(Domain &d)
                 return;
             }
             t->selfSched_ = fresh;
-            arm(d, t, now);
+            arm(t, now);
             movedMin = std::min(movedMin, t->armedAt_);
         };
 
         if (inWheel) {
-            const unsigned nwords = d.wheel.numWords();
+            const unsigned nwords = wheel_.numWords();
             for (unsigned w = 0; w < nwords; ++w) {
-                std::uint64_t bits = d.wheel.word(c, w);
+                std::uint64_t bits = wheel_.word(c, w);
                 while (bits) {
                     const unsigned r =
                         w * 64 +
                         static_cast<unsigned>(std::countr_zero(bits));
                     bits &= bits - 1;
-                    revalidate(d.ticked[r]);
+                    revalidate(ticked_[r]);
                 }
             }
         } else {
-            for (Ticked *t : d.ticked)
+            for (Ticked *t : ticked_)
                 if (t->far_ && t->armedAt_ == c)
                     revalidate(t);
         }
@@ -451,15 +280,12 @@ Simulator::run(DonePredicate done, Cycle limit)
     stoppedByCheck_ = false;
     if (mode_ == EvalMode::TickWorld)
         return runTickWorld(done, limit);
-    if (windowed_)
-        return runWindowed(done, limit);
 
-    Domain &d = main_;
-    const Cycle start = d.clock.now();
+    const Cycle start = clock_.now();
     while (true) {
         if (done())
             return true;
-        if (d.clock.now() - start >= limit)
+        if (clock_.now() - start >= limit)
             return false;
         if (stopCheckDue()) {
             // Cooperative stop at the cycle-dispatch boundary: nothing
@@ -468,17 +294,17 @@ Simulator::run(DonePredicate done, Cycle limit)
             stoppedByCheck_ = true;
             return false;
         }
-        checkpointDue(d.clock.now());
+        checkpointDue(clock_.now());
 
-        evaluateDue(d);
+        evaluateDue();
 
-        const Cycle next = refreshNextEventCycle(d);
+        const Cycle next = refreshNextEventCycle();
         if (next == kCycleNever) {
             // Fully idle system: either done() holds now or the
             // simulation can never progress again.
             return done();
         }
-        d.clock.advanceTo(next);
+        clock_.advanceTo(next);
     }
 }
 
@@ -489,17 +315,12 @@ Simulator::runFor(Cycle n)
         runForTickWorld(n);
         return;
     }
-    if (windowed_) {
-        runForWindowed(n);
-        return;
-    }
 
-    Domain &d = main_;
-    const Cycle end = d.clock.now() + n;
-    while (d.clock.now() < end) {
-        evaluateDue(d);
-        const Cycle next = refreshNextEventCycle(d);
-        d.clock.advanceTo(std::min(next == kCycleNever ? end : next, end));
+    const Cycle end = clock_.now() + n;
+    while (clock_.now() < end) {
+        evaluateDue();
+        const Cycle next = refreshNextEventCycle();
+        clock_.advanceTo(std::min(next == kCycleNever ? end : next, end));
     }
 }
 
@@ -508,16 +329,16 @@ Simulator::runFor(Cycle n)
 void
 Simulator::evaluateAll()
 {
-    for (Ticked *t : main_.ticked)
+    for (Ticked *t : ticked_)
         t->fastTick();
-    main_.componentTicks += main_.ticked.size();
+    componentTicks_ += ticked_.size();
     ++evaluatedCycles_;
 }
 
 bool
 Simulator::anyActive() const
 {
-    return std::any_of(main_.ticked.begin(), main_.ticked.end(),
+    return std::any_of(ticked_.begin(), ticked_.end(),
                        [](const Ticked *t) { return t->fastActive(); });
 }
 
@@ -525,7 +346,7 @@ Cycle
 Simulator::nextWakeAll() const
 {
     Cycle wake = kCycleNever;
-    for (const Ticked *t : main_.ticked)
+    for (const Ticked *t : ticked_)
         wake = std::min(wake, t->fastWakeAt());
     return wake;
 }
@@ -533,22 +354,22 @@ Simulator::nextWakeAll() const
 bool
 Simulator::runTickWorld(const DonePredicate &done, Cycle limit)
 {
-    const Cycle start = main_.clock.now();
+    const Cycle start = clock_.now();
     while (true) {
         if (done())
             return true;
-        if (main_.clock.now() - start >= limit)
+        if (clock_.now() - start >= limit)
             return false;
         if (stopCheckDue()) {
             stoppedByCheck_ = true;
             return false;
         }
-        checkpointDue(main_.clock.now());
+        checkpointDue(clock_.now());
 
         evaluateAll();
 
         if (anyActive()) {
-            main_.clock.advanceTo(main_.clock.now() + 1);
+            clock_.advanceTo(clock_.now() + 1);
             continue;
         }
         const Cycle wake = nextWakeAll();
@@ -557,17 +378,17 @@ Simulator::runTickWorld(const DonePredicate &done, Cycle limit)
             // simulation can never progress again.
             return done();
         }
-        main_.clock.advanceTo(std::max(wake, main_.clock.now() + 1));
+        clock_.advanceTo(std::max(wake, clock_.now() + 1));
     }
 }
 
 void
 Simulator::runForTickWorld(Cycle n)
 {
-    const Cycle end = main_.clock.now() + n;
-    while (main_.clock.now() < end) {
+    const Cycle end = clock_.now() + n;
+    while (clock_.now() < end) {
         evaluateAll();
-        Cycle next = main_.clock.now() + 1;
+        Cycle next = clock_.now() + 1;
         if (!anyActive()) {
             const Cycle wake = nextWakeAll();
             if (wake != kCycleNever)
@@ -575,7 +396,7 @@ Simulator::runForTickWorld(Cycle n)
             else
                 next = end;
         }
-        main_.clock.advanceTo(std::min(next, end));
+        clock_.advanceTo(std::min(next, end));
     }
 }
 

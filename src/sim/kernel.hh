@@ -2,8 +2,6 @@
  * @file
  * The simulation kernel: owns the clock, schedules component evaluations
  * through a bitmap timing wheel, fast-forwards across quiescent periods.
- * Optionally partitioned into conservative-PDES domains (sim/domain.hh)
- * that execute lookahead windows on multiple host threads.
  */
 
 #ifndef PICOSIM_SIM_KERNEL_HH
@@ -11,12 +9,10 @@
 
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <vector>
 
 #include "sim/checkpoint.hh"
 #include "sim/clock.hh"
-#include "sim/domain.hh"
 #include "sim/event_wheel.hh"
 #include "sim/small_fn.hh"
 #include "sim/stats.hh"
@@ -51,22 +47,22 @@ using DonePredicate = SmallFn<bool(), 32>;
 
 /**
  * Cooperative stop request for the run loop: polled at deterministic
- * schedule boundaries (every kStopCheckStride dispatched cycles on the
- * sequential kernels, every window barrier on the PDES loop) and never
- * mid-cycle, so a stopped run ends at a clean point in the schedule.
- * Must not throw (the PDES coordination step is noexcept). The harness
- * composes cancellation tokens and wall-clock deadlines into one check.
+ * schedule boundaries (every kStopCheckStride dispatched cycles) and
+ * never mid-cycle, so a stopped run ends at a clean point in the
+ * schedule. Must not throw: an exception would escape run() mid-
+ * schedule and the run would end with no cycle count, stats or
+ * RunStatus, whereas the harness reports every way a run ends as a
+ * RunStatus on a complete RunResult. The harness composes cancellation
+ * tokens and wall-clock deadlines into one check.
  */
 using StopCheck = std::function<bool()>;
 
 /**
  * Checkpoint notification: invoked from the run loop at deterministic
  * boundary cycles (see setCheckpointHook). The argument is the boundary
- * label — a multiple of the checkpoint stride on the sequential
- * kernels, the just-completed window-barrier cycle under PDES. Like
- * StopCheck, the hook is called at the same points for any host thread
- * count and must not throw (the PDES coordination step is noexcept);
- * the harness wraps user callbacks accordingly.
+ * label, a multiple of the checkpoint stride. Like StopCheck, the hook
+ * must not throw (for the same reason); the harness wraps user
+ * callbacks accordingly.
  */
 using CheckpointHook = std::function<void(Cycle)>;
 
@@ -85,13 +81,6 @@ using CheckpointHook = std::function<void(Cycle)>;
  * events batch into one bucket dispatch; far-future wakes (beyond the
  * wheel horizon) sit in a per-component far set until they come within
  * range.
- *
- * Conservative-PDES partitioning: configureDomains(N) splits the kernel
- * into N domains, each with its own clock/wheel/registration order, run
- * in lookahead windows that are bit-identical for any host thread count
- * (see sim/domain.hh for the full argument). Unpartitioned simulators
- * (the default) never touch any of the windowed machinery — the
- * sequential hot path is byte-for-byte the pre-PDES one.
  */
 class Simulator
 {
@@ -100,98 +89,14 @@ class Simulator
 
     explicit Simulator(EvalMode mode) : mode_(mode) {}
 
-    Clock &clock() { return main_.clock; }
-    const Clock &clock() const { return main_.clock; }
+    Clock &clock() { return clock_; }
+    const Clock &clock() const { return clock_; }
     StatGroup &stats() { return stats_; }
 
     EvalMode evalMode() const { return mode_; }
 
     /** Select the evaluation strategy; call before the first run. */
     void setEvalMode(EvalMode mode) { mode_ = mode; }
-
-    // -- Conservative-PDES domain partitioning ---------------------------
-
-    /**
-     * Partition the kernel into @p count domains before any component is
-     * registered. count <= 1 is a no-op (the clean sequential fallback):
-     * the simulator stays on the unpartitioned fast path. Incompatible
-     * with TickWorld (the reference kernel is sequential by definition).
-     */
-    void configureDomains(unsigned count);
-
-    /** Number of domains (1 when unpartitioned). */
-    unsigned numDomains() const
-    {
-        return 1u + static_cast<unsigned>(extraDomains_.size());
-    }
-
-    /** True when configureDomains() armed the windowed run loop. */
-    bool partitioned() const { return windowed_; }
-
-    /** The clock of domain @p d — bind ports to their CONSUMER's domain
-     *  clock so frontReady()/nextReadyCycle() read consumer-local time. */
-    const Clock &domainClock(unsigned d) const;
-
-    /**
-     * Host threads used by the windowed run loop (clamped to the domain
-     * count at run time). The windowed schedule itself is identical for
-     * any value — this only selects how many OS threads execute it.
-     */
-    void setHostThreads(unsigned n) { hostThreads_ = n == 0 ? 1 : n; }
-    unsigned hostThreads() const { return hostThreads_; }
-
-    /**
-     * Declare a timed link from domain @p src to domain @p dst. @p latency
-     * (>= 1) bounds the lookahead window for that ordered pair; @p drain
-     * is invoked single-threaded at window boundaries (only when traffic
-     * was staged — see markLinkDirty) to replay the link's staged traffic
-     * into the consumer domain. @p name labels the link in diagnostics.
-     * @return the link id the producer passes to markLinkDirty().
-     */
-    unsigned registerCrossDomainLink(unsigned src, unsigned dst,
-                                     Cycle latency,
-                                     std::function<void()> drain,
-                                     std::string name = {});
-
-    /** Endpoint-less form: the link constrains EVERY ordered domain pair
-     *  (and its drain runs whenever any link is dirty). */
-    unsigned
-    registerCrossDomainLink(Cycle latency, std::function<void()> drain)
-    {
-        return registerCrossDomainLink(CrossDomainLink::kAllPairs,
-                                       CrossDomainLink::kAllPairs, latency,
-                                       std::move(drain));
-    }
-
-    /** Lookahead window floor: min latency over ALL cross-domain links
-     *  (1 when none are registered). Windows derived from the pairwise
-     *  matrix are never shorter than nextEvent + this. */
-    Cycle
-    lookahead() const
-    {
-        return lookaheadMin_ == kCycleNever ? 1 : lookaheadMin_;
-    }
-
-    /** Min declared latency over links from @p src to @p dst, including
-     *  endpoint-less links; kCycleNever when unconstrained. */
-    Cycle pairLookahead(unsigned src, unsigned dst) const;
-
-    /** Min over destinations of pairLookahead(src, d): the lookahead a
-     *  live domain @p src contributes to the window bound. */
-    Cycle minOutLookahead(unsigned src) const;
-
-    /** The domain whose clock is @p clk (addresses identify domains). */
-    unsigned domainOfClock(const Clock &clk) const;
-
-    /** Record that link @p linkId staged its first item since the last
-     *  boundary (producer-thread call; routed to the current domain's
-     *  dirty list, or the harness list outside any window). */
-    void markLinkDirty(unsigned linkId);
-
-    // -- Per-domain window accounting (benches, tests; not stats) --------
-    std::uint64_t windowBarriers() const { return windowBarriers_; }
-    std::uint64_t domainWindowsRun(unsigned d) const;
-    std::uint64_t domainWindowsSkipped(unsigned d) const;
 
     // -- Registration and scheduling -------------------------------------
 
@@ -201,10 +106,7 @@ class Simulator
      * cycle (the reference kernel ticks everything on the first evaluated
      * cycle; the event queue reproduces that).
      */
-    void addTicked(Ticked *component) { addTicked(component, 0); }
-
-    /** Register @p component into domain @p domain (< numDomains()). */
-    void addTicked(Ticked *component, unsigned domain);
+    void addTicked(Ticked *component);
 
     /**
      * Schedule @p component for evaluation at (or after) @p cycle.
@@ -212,16 +114,13 @@ class Simulator
      * registration slot are honored this cycle; later ones slip to the
      * next cycle (its slot in the reference schedule has already passed).
      * No-op in TickWorld mode, where every active cycle ticks everything.
-     * Cross-domain requests made from another domain's window are
-     * captured in an outbox and applied at the next window boundary.
      */
     void requestWake(Ticked *component, Cycle cycle);
 
     /**
-     * Run until the predicate holds (checked once per evaluated cycle, or
-     * once per window boundary when partitioned) or the cycle limit is
-     * exceeded. The predicate must be a small trivially-copyable callable
-     * (it is stored inline, never allocated).
+     * Run until the predicate holds (checked once per evaluated cycle) or
+     * the cycle limit is exceeded. The predicate must be a small
+     * trivially-copyable callable (it is stored inline, never allocated).
      *
      * @return true if the predicate was satisfied, false on cycle-limit.
      */
@@ -233,8 +132,7 @@ class Simulator
 
     // -- Cooperative stop (cancellation / wall-clock timeouts) -----------
 
-    /** Dispatched-cycle stride between stop-check polls on the
-     *  sequential kernels (the PDES loop polls every window barrier). */
+    /** Dispatched-cycle stride between stop-check polls. */
     static constexpr std::uint64_t kStopCheckStride = 1024;
 
     /**
@@ -257,14 +155,12 @@ class Simulator
 
     /**
      * Install (or clear, with an empty function) the checkpoint hook,
-     * fired at deterministic boundaries roughly every @p every cycles.
-     * Sequential kernels fire at the dispatch boundary of the first
-     * evaluated cycle at or past each stride multiple, labeled with the
-     * stride multiple itself; the PDES loop fires at the first window
-     * barrier at or past it, labeled with the completed window-end
-     * cycle. Either way the label sequence is a pure function of the
-     * deterministic schedule — identical across reruns and host thread
-     * counts — which is what makes a label a valid resume cut.
+     * fired at deterministic boundaries roughly every @p every cycles:
+     * at the dispatch boundary of the first evaluated cycle at or past
+     * each stride multiple, labeled with the stride multiple itself. The
+     * label sequence is a pure function of the deterministic schedule,
+     * identical across reruns, which is what makes a label a valid
+     * resume cut.
      */
     void
     setCheckpointHook(CheckpointHook hook, Cycle every)
@@ -274,12 +170,11 @@ class Simulator
         cpNext_ = cpEvery_;
     }
 
-    /** Number of distinct cycles at which any component was evaluated
-     *  (global across domains; deduplicated at window boundaries). */
+    /** Number of distinct cycles at which any component was evaluated. */
     std::uint64_t evaluatedCycles() const { return evaluatedCycles_; }
 
     /** Total individual component tick() evaluations performed. */
-    std::uint64_t componentTicks() const;
+    std::uint64_t componentTicks() const { return componentTicks_; }
 
     /**
      * Component ticks a tick-the-world kernel would have performed over
@@ -288,18 +183,18 @@ class Simulator
     std::uint64_t
     tickWorldTicks() const
     {
-        return evaluatedCycles_ * numComponents();
+        return evaluatedCycles_ * ticked_.size();
     }
 
-    std::size_t numComponents() const;
+    std::size_t numComponents() const { return ticked_.size(); }
 
   private:
     /** Arm @p t in the wheel (or far set) at the min of its self/external
      *  due cycles; @p now anchors the wheel horizon. */
-    void arm(Domain &d, Ticked *t, Cycle now);
+    void arm(Ticked *t, Cycle now);
 
     /** Remove @p t's armed entry (wheel bit or far-set membership). */
-    void disarm(Domain &d, Ticked *t);
+    void disarm(Ticked *t);
 
     /** Consume t's earliest external wake, promoting any later one. */
     void consumeExternalHead(Ticked *t);
@@ -308,10 +203,10 @@ class Simulator
     void addExternal(Ticked *t, Cycle cycle);
 
     /** File far-armed components whose cycle entered the wheel horizon. */
-    void refileFar(Domain &d, Cycle now);
+    void refileFar(Cycle now);
 
     /** Tick every component due at the current cycle, registration order. */
-    void evaluateDue(Domain &d);
+    void evaluateDue();
 
     /**
      * Earliest future cycle holding a due component, re-validating pure
@@ -319,23 +214,7 @@ class Simulator
      * the fast-forward target matches the reference kernel's fresh global
      * minimum. kCycleNever when nothing is armed.
      */
-    Cycle refreshNextEventCycle(Domain &d);
-
-    /** The wake-application body of requestWake(), on one domain. */
-    void applyLocalWake(Domain &d, Ticked *component, Cycle cycle);
-
-    // -- Windowed (PDES) run loop; see sim/domain.cc ---------------------
-    Domain &domainAt(unsigned d);
-    const Domain &domainAt(unsigned d) const;
-    void requestWakeWindowed(Ticked *component, Cycle cycle);
-    void runDomainWindow(Domain &d, Cycle windowEnd);
-    void drainBoundary(Cycle boundary);
-    void mergeWindowCycles();
-    Cycle cachedGlobalNext() const;
-    Cycle computeWindowEnd(Cycle globalNext) const;
-    void advanceAllClocksTo(Cycle c);
-    bool runWindowed(const DonePredicate &done, Cycle limit);
-    void runForWindowed(Cycle n);
+    Cycle refreshNextEventCycle();
 
     // -- TickWorld reference implementation --
     bool runTickWorld(const DonePredicate &done, Cycle limit);
@@ -344,39 +223,17 @@ class Simulator
     bool anyActive() const;
     Cycle nextWakeAll() const;
 
+    Clock clock_;
     StatGroup stats_;
     EvalMode mode_ = EvalMode::EventDriven;
-
-    /** Domain 0: THE kernel state of an unpartitioned simulator — the
-     *  sequential hot path reads only this member. */
-    Domain main_;
-
-    /** Domains 1..N-1; empty (never allocated) when unpartitioned. */
-    std::vector<std::unique_ptr<Domain>> extraDomains_;
-
-    bool windowed_ = false;   ///< configureDomains() armed the PDES loop
-    unsigned hostThreads_ = 1;
-    Cycle lookaheadMin_ = kCycleNever; ///< min cross-domain link latency
-    std::vector<CrossDomainLink> crossLinks_;
-    std::vector<Cycle> mergeScratch_; ///< window-cycle merge workspace
-
-    /** Pairwise lookahead matrix (ndom x ndom, row-major): min declared
-     *  latency over links with concrete (src, dst) endpoints. */
-    std::vector<Cycle> pairMin_;
-    /** Per-source row minimum of pairMin_ (maintained on registration). */
-    std::vector<Cycle> minOut_;
-    /** Min latency over endpoint-less (all-pairs) links. */
-    Cycle allPairsMin_ = kCycleNever;
-
-    /** Links dirtied from harness/coordinator context (no window live). */
-    std::vector<unsigned> harnessDirtyLinks_;
-    /** Endpoint-less links: drained at every boundary unconditionally. */
-    std::vector<unsigned> allPairsLinks_;
-    std::vector<unsigned> linkScratch_; ///< boundary dirty-link workspace
-
-    std::uint64_t windowBarriers_ = 0; ///< coordination steps executed
-
+    std::vector<Ticked *> ticked_; ///< registration order
+    EventWheel wheel_;
+    unsigned farCount_ = 0;      ///< components armed beyond the horizon
+    Cycle farMin_ = kCycleNever; ///< lower bound on far armed cycles
+    bool evaluating_ = false;
+    unsigned currentRegIndex_ = 0;
     std::uint64_t evaluatedCycles_ = 0;
+    std::uint64_t componentTicks_ = 0;
 
     StopCheck stopCheck_;            ///< empty = never stop early
     bool stoppedByCheck_ = false;    ///< last run() ended by the check
@@ -386,7 +243,7 @@ class Simulator
     Cycle cpEvery_ = 0;     ///< checkpoint stride (0 = off)
     Cycle cpNext_ = 0;      ///< next boundary at or past which to fire
 
-    /** Stride-gated poll of the stop check (sequential kernels). */
+    /** Stride-gated poll of the stop check. */
     bool
     stopCheckDue()
     {
@@ -398,7 +255,7 @@ class Simulator
     }
 
     /**
-     * Sequential-kernel checkpoint poll, called at the cycle-dispatch
+     * Checkpoint poll, called at the cycle-dispatch
      * boundary (nothing of cycle @p now evaluated yet). Fires with the
      * stride-multiple label `now - now % cpEvery_`: the first dispatch
      * at or past label L is itself deterministic, so the label sequence

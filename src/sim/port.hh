@@ -28,12 +28,10 @@
 
 #include <algorithm>
 #include <cstddef>
-#include <functional>
 #include <string>
 #include <utility>
 
 #include "sim/clock.hh"
-#include "sim/kernel.hh"
 #include "sim/ring.hh"
 #include "sim/log.hh"
 #include "sim/stats.hh"
@@ -135,7 +133,7 @@ class TimedPort
     TimedPort(const Clock &clock, const PortParams &params,
               StatGroup *stats = nullptr, const std::string &name = {},
               Ticked *owner = nullptr)
-        : clock_(clock), params_(params), owner_(owner), name_(name)
+        : clock_(clock), params_(params), owner_(owner)
     {
         if (stats) {
             pushes_ = &stats->scalar(name + ".pushes");
@@ -146,18 +144,7 @@ class TimedPort
 
     std::size_t capacity() const { return params_.capacity; }
 
-    /**
-     * Occupancy as the PRODUCER sees it. In cross-domain staging mode
-     * this is the window-start snapshot of resident items (creditSize_)
-     * plus everything staged since — consumer pops inside the current
-     * window don't free credit until the next boundary, a conservative
-     * view that is identical at every host thread count.
-     */
-    std::size_t
-    size() const
-    {
-        return staging_ ? creditSize_ + staged_.size() : items_.size();
-    }
+    std::size_t size() const { return items_.size(); }
 
     bool empty() const { return size() == 0; }
     bool full() const { return size() >= params_.capacity; }
@@ -184,23 +171,6 @@ class TimedPort
             if (pushStalls_)
                 ++*pushStalls_;
             return false;
-        }
-        if (staging_) {
-            // Cross-domain: record (send cycle, value) in the producer-
-            // owned staging ring; the window-boundary drain replays the
-            // accept/latency arithmetic and wakes the owner. Nothing on
-            // this path touches consumer-owned state. The first staged
-            // item since the last drain marks the link dirty so the
-            // boundary only visits links with live traffic.
-            if (staged_.empty())
-                sim_->markLinkDirty(linkId_);
-            staged_.push_back(
-                StagedSlot{producerClock_->now(), std::move(value)});
-            if (pushes_) {
-                ++*pushes_;
-                queued_->sample(static_cast<double>(size()));
-            }
-            return true;
         }
         items_.push_back(Slot{acceptCycle(clock_.now()) + params_.latency,
                               std::move(value)});
@@ -230,16 +200,6 @@ class TimedPort
             panic("TimedPort::pop on not-ready port");
         T value = std::move(items_.front().value);
         items_.pop_front();
-        // Consumer pops free producer credit, but only the boundary
-        // drain republishes it (creditSize_). A clean link would never
-        // be drained again, leaving a blocked producer stalled on stale
-        // credit forever — so the first pop since the last drain marks
-        // the link dirty too. Pops happen at deterministic simulated
-        // cycles, so the dirty set stays thread-count-independent.
-        if (staging_ && !creditDirty_) {
-            creditDirty_ = true;
-            sim_->markLinkDirty(linkId_);
-        }
         return value;
     }
 
@@ -259,9 +219,6 @@ class TimedPort
     clear()
     {
         items_.clear();
-        staged_.clear();
-        creditSize_ = 0;
-        creditDirty_ = false;
         acceptAt_ = 0;
         acceptUsed_ = 0;
     }
@@ -278,50 +235,8 @@ class TimedPort
 
     const PortParams &params() const { return params_; }
 
-    /** Re-bind the owner (consumer) woken on pushes and drains. */
+    /** Re-bind the owner (consumer) woken on pushes. */
     void setOwner(Ticked *owner) { owner_ = owner; }
-
-    /** True when enableCrossDomainStaging() put the port in PDES mode. */
-    bool crossDomainStaging() const { return staging_; }
-
-    /**
-     * Install a callback invoked once per staged item as the boundary
-     * drain makes it visible to the consumer domain (single-threaded
-     * coordinator context, so it may touch consumer-domain state).
-     * Producer-side occupancy/stat counters that would otherwise race
-     * across domains move here.
-     */
-    void
-    onStagedDrain(std::function<void(const T &)> hook)
-    {
-        stagedDrainHook_ = std::move(hook);
-    }
-
-    /**
-     * Put the port in cross-domain staging mode: the producer lives in a
-     * different PDES domain than the consumer (this port's clock_ must be
-     * the CONSUMER domain's clock). Pushes stage producer-side; the
-     * registered drain replays them at each window boundary. The port's
-     * latency becomes the (producer domain -> consumer domain) lookahead
-     * bound, so it must be >= 1; the domain pair is derived from the two
-     * clocks.
-     */
-    void
-    enableCrossDomainStaging(Simulator &sim, const Clock &producerClock)
-    {
-        if (params_.latency == 0)
-            panic("cross-domain TimedPort '" +
-                  (name_.empty() ? std::string("<unnamed>") : name_) +
-                  "' requires latency >= 1 (the port latency is the "
-                  "conservative lookahead of its domain pair)");
-        staging_ = true;
-        producerClock_ = &producerClock;
-        creditSize_ = items_.size();
-        sim_ = &sim;
-        linkId_ = sim.registerCrossDomainLink(
-            sim.domainOfClock(producerClock), sim.domainOfClock(clock_),
-            params_.latency, [this] { drainStaged(); }, name_);
-    }
 
   private:
     struct Slot
@@ -329,38 +244,6 @@ class TimedPort
         Cycle readyAt;
         T value;
     };
-
-    struct StagedSlot
-    {
-        Cycle sendCycle;
-        T value;
-    };
-
-    /**
-     * Window-boundary replay of staged pushes: identical accept/latency
-     * arithmetic to the plain push() path, anchored at each recorded
-     * send cycle, with the owner woken exactly as a live push would
-     * have. Replay cannot overflow: the producer-view admission bound
-     * (creditSize_ + staged) <= capacity, and items_ never exceeds
-     * creditSize_ inside a window.
-     */
-    void
-    drainStaged()
-    {
-        while (!staged_.empty()) {
-            StagedSlot s = std::move(staged_.front());
-            staged_.pop_front();
-            if (stagedDrainHook_)
-                stagedDrainHook_(s.value);
-            items_.push_back(Slot{acceptCycle(s.sendCycle) +
-                                      params_.latency,
-                                  std::move(s.value)});
-            if (owner_)
-                owner_->requestWake(items_.front().readyAt);
-        }
-        creditSize_ = items_.size(); // refresh the producer's credit
-        creditDirty_ = false;
-    }
 
     /** Width arbitration: the cycle a push at @p now is accepted. */
     Cycle
@@ -383,20 +266,10 @@ class TimedPort
     const Clock &clock_;
     PortParams params_;
     Ticked *owner_;
-    std::string name_; ///< diagnostics (staging misconfiguration, etc.)
     Ring<Slot> items_;
     Cycle acceptAt_ = 0;     ///< cycle whose acceptance slots are in use
     unsigned acceptUsed_ = 0; ///< slots consumed in acceptAt_
 
-    // -- Cross-domain staging (PDES mode only) --
-    bool staging_ = false;
-    const Clock *producerClock_ = nullptr;
-    Simulator *sim_ = nullptr;    ///< for dirty-link marking
-    unsigned linkId_ = 0;         ///< this port's cross-domain link id
-    std::size_t creditSize_ = 0;  ///< items_ snapshot at the last drain
-    bool creditDirty_ = false;    ///< consumer popped since last drain
-    Ring<StagedSlot> staged_;     ///< producer-owned pending pushes
-    std::function<void(const T &)> stagedDrainHook_; ///< per-item drain
     // Cached registry entries; null when stat-free.
     Scalar *pushes_ = nullptr;
     Scalar *pushStalls_ = nullptr;

@@ -95,9 +95,6 @@ class Ticked
     /** Position in the kernel's registration order (valid when attached). */
     unsigned regIndex() const { return regIndex_; }
 
-    /** PDES domain this component was registered into (0 by default). */
-    unsigned domain() const { return domain_; }
-
     const std::string &name() const { return name_; }
 
     // -- Flattened kernel-facing dispatch --------------------------------
@@ -162,8 +159,7 @@ class Ticked
 
     // -- Scheduling bookkeeping, owned by the registered Simulator --
     Simulator *sim_ = nullptr;
-    unsigned regIndex_ = 0;   ///< registration slot within its domain
-    unsigned domain_ = 0;     ///< owning PDES domain (0 = main)
+    unsigned regIndex_ = 0;   ///< registration slot
     Cycle armedAt_ = kCycleNever;  ///< cycle of the single wheel entry
     Cycle selfSched_ = kCycleNever; ///< kernel re-arm after last tick
     Cycle extHead_ = kCycleNever;  ///< earliest pending external wake

@@ -42,10 +42,6 @@ Engine::harnessParams(const RunSpec &spec)
     sp.manager.coreReadyQueueDepth = spec.coreReadyDepth;
     sp.hartApi.roccLatency = spec.roccLatency;
 
-    sp.pdes.hostThreads = spec.hostThreads;
-    sp.pdes.domains = spec.pdesDomains;
-    sp.pdes.partition = spec.pdes;
-
     hp.fault.kind = spec.faultKind;
     hp.fault.cycle = spec.faultCycle;
     hp.fault.until = spec.faultUntil;

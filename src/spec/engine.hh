@@ -9,8 +9,7 @@
  * the topology reset), so spec-driven runs are bit-identical to the
  * legacy flag-driven paths; runBatch() spreads many specs over the
  * harness worker pool; runInspected() keeps the simulated System alive
- * for post-run inspection (statistics dumps, task traces, PDES window
- * counters).
+ * for post-run inspection (statistics dumps, task traces).
  */
 
 #ifndef PICOSIM_SPEC_ENGINE_HH

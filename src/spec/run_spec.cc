@@ -238,36 +238,6 @@ keyTable()
          [](S &s, const std::string &v, const std::string &d) {
              s.bandwidthAlpha = parseDouble(d, v, 0.0, 1.0);
          }},
-        {"pdes",
-         [](const S &s) {
-             switch (s.pdes) {
-               case cpu::PdesParams::Partition::Off: return std::string("off");
-               case cpu::PdesParams::Partition::Force:
-                 return std::string("force");
-               case cpu::PdesParams::Partition::Auto: break;
-             }
-             return std::string("auto");
-         },
-         [](S &s, const std::string &v, const std::string &) {
-             s.pdes = static_cast<cpu::PdesParams::Partition>(parseChoice(
-                 "pdes policy", v, {{"auto", 0}, {"off", 1}, {"force", 2}}));
-         }},
-        {"pdes-domains",
-         [](const S &s) {
-             return s.pdesDomains == 0 ? std::string("auto")
-                                       : std::to_string(s.pdesDomains);
-         },
-         [](S &s, const std::string &v, const std::string &d) {
-             s.pdesDomains =
-                 v == "auto"
-                     ? 0
-                     : static_cast<unsigned>(parseInt(d, v, 2, 258));
-         }},
-        {"host-threads",
-         [](const S &s) { return std::to_string(s.hostThreads); },
-         [](S &s, const std::string &v, const std::string &d) {
-             s.hostThreads = static_cast<unsigned>(parseInt(d, v, 1, 256));
-         }},
         {"repeat",
          [](const S &s) { return std::to_string(s.repeat); },
          [](S &s, const std::string &v, const std::string &d) {
@@ -319,6 +289,15 @@ keyTable()
     };
     return table;
 }
+
+/**
+ * Keys of the removed parallel (conservative-PDES) kernel. Spec text
+ * written before the removal (spec files, BENCH row stamps, daemon
+ * journals) must fail naming the key and the reason, never with a
+ * did-you-mean to an unrelated key.
+ */
+constexpr const char *kRemovedKeys[] = {"pdes", "pdes-domains",
+                                        "host-threads"};
 
 /** Workloads the `nested` key folds between (or accepts as-is). */
 bool
@@ -439,16 +418,16 @@ RunSpec::setKey(const std::string &key, const std::string &value,
             return;
         }
     }
+    rejectRemovedKey(key, display_prefix);
     const bool is_flag = display_prefix == "--";
     throw SpecError(std::string("unknown ") + (is_flag ? "flag" : "key") +
                     " '" + display_prefix + key + "'" +
                     didYouMean(key, nearestKey(key), display_prefix));
 }
 
-std::vector<std::string>
+void
 RunSpec::canonicalize(const std::string &display_prefix)
 {
-    std::vector<std::string> warnings;
     const WorkloadRegistry &reg = WorkloadRegistry::instance();
 
     // 1. Resolve the workload: exact registry name, else a Figure-9
@@ -508,13 +487,6 @@ RunSpec::canonicalize(const std::string &display_prefix)
                         display_prefix + "cores=" + std::to_string(cores) +
                         " (each cluster needs at least one core)");
     }
-    if (pdes == cpu::PdesParams::Partition::Off && hostThreads > 1) {
-        warnings.push_back(
-            "warning: " + display_prefix + "host-threads=" +
-            std::to_string(hostThreads) + " is ignored with " +
-            display_prefix + "pdes=off (the unpartitioned kernel is "
-                             "sequential)");
-    }
     if (faultKind != sim::FaultKind::None) {
         if (faultUntil != 0 && faultUntil <= faultCycle) {
             throw SpecError(
@@ -558,7 +530,6 @@ RunSpec::canonicalize(const std::string &display_prefix)
                 std::to_string(clusters) + ")");
         }
     }
-    return warnings;
 }
 
 std::string
@@ -622,13 +593,11 @@ RunSpec::merge(const std::string &text)
 }
 
 RunSpec
-RunSpec::parse(const std::string &text, std::vector<std::string> *warnings)
+RunSpec::parse(const std::string &text)
 {
     RunSpec spec;
     spec.merge(text);
-    std::vector<std::string> w = spec.canonicalize();
-    if (warnings)
-        *warnings = std::move(w);
+    spec.canonicalize();
     return spec;
 }
 
@@ -655,6 +624,22 @@ RunSpec::nearestKey(const std::string &key)
         }
     }
     return best;
+}
+
+void
+RunSpec::rejectRemovedKey(const std::string &key,
+                          const std::string &display_prefix)
+{
+    for (const char *removed : kRemovedKeys) {
+        if (key == removed) {
+            const bool is_flag = display_prefix == "--";
+            throw SpecError(std::string(is_flag ? "flag" : "key") + " '" +
+                            display_prefix + key +
+                            "' was removed: the parallel (conservative-"
+                            "PDES) kernel was removed and every run uses "
+                            "the sequential kernel, so drop it");
+        }
+    }
 }
 
 } // namespace picosim::spec

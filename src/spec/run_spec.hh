@@ -4,10 +4,10 @@
  *
  * A RunSpec names everything that determines a run's simulated result —
  * the workload and its parameters, the runtime model, the machine
- * (cores, scheduler topology, memory system, ablation knobs), the
- * conservative-PDES configuration, and the harness controls (repeat,
- * seed, cycle limit). Front-ends never assemble cpu::SystemParams by
- * hand: they parse or mutate a RunSpec and hand it to spec::Engine.
+ * (cores, scheduler topology, memory system, ablation knobs), and the
+ * harness controls (repeat, seed, cycle limit). Front-ends never
+ * assemble cpu::SystemParams by hand: they parse or mutate a RunSpec
+ * and hand it to spec::Engine.
  *
  * Specs are written as `key=value` pairs — the same keys on the command
  * line (`--cores=16`), in spec files (one pair per line, `#` comments),
@@ -19,7 +19,7 @@
  *
  * Every parse error names the offending key, the rejected value, and
  * the legal range or choices; near-miss keys get a "did you mean"
- * suggestion.
+ * suggestion, and keys removed from the schema are rejected by name.
  */
 
 #ifndef PICOSIM_SPEC_RUN_SPEC_HH
@@ -73,11 +73,6 @@ struct RunSpec
     unsigned coreReadyDepth = 2;
     double bandwidthAlpha = 0.058;
 
-    // -- Conservative PDES --
-    cpu::PdesParams::Partition pdes = cpu::PdesParams::Partition::Auto;
-    unsigned pdesDomains = 0; ///< 0 = derive from the topology
-    unsigned hostThreads = 1;
-
     // -- Harness controls --
     unsigned repeat = 1;
     std::uint64_t seed = 42; ///< fills a workload's wl.seed unless set
@@ -96,7 +91,8 @@ struct RunSpec
      * @p display_prefix is prepended to key names in diagnostics ("--"
      * when the pair came from a command-line flag, "" from a spec
      * file). Throws SpecError naming the key, the value and the legal
-     * range; unknown keys get a nearest-key suggestion.
+     * range; unknown keys get a nearest-key suggestion, removed keys
+     * the reason they were removed.
      */
     void setKey(const std::string &key, const std::string &value,
                 const std::string &display_prefix = "");
@@ -107,11 +103,9 @@ struct RunSpec
      * accepted and rewritten to name + wl.* parameters), `nested` is
      * folded into the workload, every workload parameter is filled
      * with its schema default, and cross-key constraints are checked.
-     * Idempotent. @return warnings to surface (non-fatal combinations,
-     * e.g. host-threads with pdes=off); throws SpecError otherwise.
+     * Idempotent. Throws SpecError.
      */
-    std::vector<std::string>
-    canonicalize(const std::string &display_prefix = "");
+    void canonicalize(const std::string &display_prefix = "");
 
     /**
      * The canonical `key=value` form, every key present, joined by
@@ -131,16 +125,24 @@ struct RunSpec
 
     /**
      * Parse spec text: defaults + merge(text) + canonicalize().
-     * Warnings behave as in canonicalize(). Throws SpecError.
+     * Throws SpecError.
      */
-    static RunSpec parse(const std::string &text,
-                         std::vector<std::string> *warnings = nullptr);
+    static RunSpec parse(const std::string &text);
 
     /** All fixed spec keys in serialization order (no wl.*). */
     static std::vector<std::string> keys();
 
     /** Nearest fixed spec key to @p key by edit distance. */
     static std::string nearestKey(const std::string &key);
+
+    /**
+     * Throw the SpecError for @p key when it names a key removed from
+     * the schema (old spec files, BENCH stamps and journals still carry
+     * them); no-op for any other key. setKey() applies it; front-ends
+     * with their own unknown-flag handling call it first.
+     */
+    static void rejectRemovedKey(const std::string &key,
+                                 const std::string &display_prefix = "");
 };
 
 /** CLI spelling of a runtime kind ("serial", "nanos-sw", ...). */

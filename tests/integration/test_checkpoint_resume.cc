@@ -7,7 +7,7 @@
  * identity three ways: (1) taking checkpoints must not perturb a run,
  * (2) a run resumed from any recorded cut must reproduce the original
  * result field-for-field (and stat-for-stat) on every seed golden in
- * both kernels and under PDES at several host-thread counts, and
+ * both kernels and on the sharded scheduler, and
  * (3) a digest mismatch on replay must fail the run loudly instead of
  * silently producing a different experiment.
  */
@@ -244,33 +244,15 @@ TEST(Checkpoint, StatDumpsCapturedOnlyOnRequest)
     }
 }
 
-// -- PDES: forced cuts at window barriers -------------------------------
+// -- Sharded topology ---------------------------------------------------
 
-namespace
-{
-
-spec::RunSpec
-pdesSpec(unsigned hostThreads)
+TEST(ShardedCheckpoint, ResumeBitIdenticalOnTheShardedScheduler)
 {
     spec::RunSpec s;
     s.workload = "task-free";
     s.wl = {{"tasks", 2000}, {"deps", 1}, {"payload", 500}};
     s.schedShards = 4;
-    s.pdes = cpu::PdesParams::Partition::Force;
-    s.hostThreads = hostThreads;
     s.canonicalize();
-    return s;
-}
-
-} // namespace
-
-class PdesCheckpoint : public ::testing::TestWithParam<unsigned>
-{
-};
-
-TEST_P(PdesCheckpoint, ResumeBitIdenticalUnderPartitionedKernel)
-{
-    const spec::RunSpec s = pdesSpec(GetParam());
 
     std::vector<sim::Checkpoint> cuts;
     RunControls ctl;
@@ -283,10 +265,9 @@ TEST_P(PdesCheckpoint, ResumeBitIdenticalUnderPartitionedKernel)
     ASSERT_GE(cuts.size(), 2u);
     const std::string baseDump = statDumpOf(base);
 
-    // PDES cuts land on window barriers, not stride multiples, but the
-    // sequence is still strictly ordered and 1-based.
     for (std::size_t i = 0; i < cuts.size(); ++i) {
         EXPECT_EQ(cuts[i].seq, i + 1);
+        EXPECT_EQ(cuts[i].cycle % ctl.checkpointEvery, 0u);
         if (i > 0) {
             EXPECT_GT(cuts[i].cycle, cuts[i - 1].cycle);
         }
@@ -304,9 +285,3 @@ TEST_P(PdesCheckpoint, ResumeBitIdenticalUnderPartitionedKernel)
     // the fields RunResult surfaces.
     EXPECT_EQ(statDumpOf(resumed), baseDump);
 }
-
-INSTANTIATE_TEST_SUITE_P(HostThreads, PdesCheckpoint,
-                         ::testing::Values(2u, 4u),
-                         [](const auto &info) {
-                             return "h" + std::to_string(info.param);
-                         });

@@ -2,12 +2,12 @@
  * @file
  * Fault-injection tests. A fault is a pure function of the simulated
  * clock, so a faulted run must be as deterministic as a clean one:
- * bit-identical across the event-driven and tick-the-world kernels and
- * across PDES host-thread counts, while actually perturbing the
- * schedule (a fault nobody can observe is not a fault). The drop-job
- * fault ends a harness run with RunStatus::Dropped; the JobManager
- * turns that into one disarmed re-execution, so a dropped run's final
- * result equals the clean run's.
+ * bit-identical across the event-driven and tick-the-world kernels,
+ * while actually perturbing the schedule (a fault nobody can observe
+ * is not a fault). The drop-job fault ends a harness run with
+ * RunStatus::Dropped; the JobManager turns that into one disarmed
+ * re-execution, so a dropped run's final result equals the clean
+ * run's.
  */
 
 #include <gtest/gtest.h>
@@ -155,27 +155,6 @@ TEST(FaultRun, StallLinkIsDeterministicAcrossKernels)
     ASSERT_TRUE(b.completed);
     EXPECT_EQ(a.cycles, b.cycles);
     EXPECT_NE(a.cycles, clean.cycles);
-}
-
-TEST(FaultRun, FaultedPdesIsHostThreadInvariant)
-{
-    // The partitioned kernel quantizes fault edges at window barriers,
-    // so its faulted schedule may differ from the sequential kernels' —
-    // but it must be bit-identical at every host-thread count.
-    RunResult prev;
-    for (unsigned threads = 1; threads <= 4; threads *= 2) {
-        spec::RunSpec s = killShardSpec();
-        s.pdes = cpu::PdesParams::Partition::Force;
-        s.hostThreads = threads;
-        s.canonicalize();
-        const RunResult res = spec::Engine::run(s);
-        ASSERT_TRUE(res.completed) << "host threads " << threads;
-        if (threads > 1) {
-            EXPECT_EQ(resultKey(res), resultKey(prev))
-                << "host threads " << threads;
-        }
-        prev = res;
-    }
 }
 
 TEST(FaultRun, RepeatedFaultedRunsAreIdentical)

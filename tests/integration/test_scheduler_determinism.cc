@@ -15,7 +15,6 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
-#include <stdexcept>
 #include <string>
 #include <utility>
 
@@ -128,145 +127,3 @@ INSTANTIATE_TEST_SUITE_P(SeedGoldens, SchedulerDeterminism,
                          [](const auto &info) {
                              return testName(info.param);
                          });
-
-namespace
-{
-
-/** Run one golden config at a given host-thread count (and optionally a
- *  forced PDES partition on a sharded topology). */
-std::pair<Cycle, std::string>
-runThreaded(const Golden &g, unsigned hostThreads,
-            cpu::PdesParams::Partition partition, unsigned shards,
-            unsigned clusters, unsigned domains = 0)
-{
-    const Program prog = namedWorkload(g.workload);
-    cpu::SystemParams sp;
-    sp.numCores = g.kind == RuntimeKind::Serial ? 2 : 8;
-    sp.topology.schedShards = shards;
-    sp.topology.clusters = clusters;
-    sp.pdes.partition = partition;
-    sp.pdes.hostThreads = hostThreads;
-    sp.pdes.domains = domains;
-    cpu::System sys(sp);
-    auto runtime = makeRuntime(g.kind, CostModel{});
-    runtime->install(sys, prog);
-    EXPECT_TRUE(sys.run(50'000'000'000ull));
-    EXPECT_TRUE(runtime->finished());
-    std::ostringstream dump;
-    sys.stats().dump(dump);
-    return {sys.clock().now(), dump.str()};
-}
-
-} // namespace
-
-// With the default single-Picos topology there is no partitionable cut,
-// so any --host-threads value must fall back to the sequential kernel
-// and reproduce the seed goldens bit-identically. This pins the
-// fallback rule: asking for threads never changes results when PDES
-// cannot engage.
-TEST_P(SchedulerDeterminism, HostThreadsSeedGoldens)
-{
-    const Golden &g = GetParam();
-    const Program prog = namedWorkload(g.workload);
-    for (unsigned threads : {1u, 2u, 4u}) {
-        cpu::SystemParams sp;
-        sp.numCores = g.kind == RuntimeKind::Serial ? 1 : 8;
-        sp.pdes.hostThreads = threads;
-        cpu::System sys(sp);
-        ASSERT_FALSE(sys.pdesActive());
-        auto runtime = makeRuntime(g.kind, CostModel{});
-        runtime->install(sys, prog);
-        EXPECT_TRUE(sys.run(50'000'000'000ull));
-        EXPECT_TRUE(runtime->finished());
-        EXPECT_EQ(sys.clock().now(), g.cycles)
-            << "hostThreads=" << threads;
-    }
-}
-
-// The core PDES determinism contract: a forced 2-domain partition on a
-// sharded topology must produce bit-identical results (final cycle AND
-// every modeled counter in the full stat dump) at 1, 2 and 4 host
-// threads. The 1-thread run executes the identical windowed schedule on
-// the main thread, so any divergence at N threads is a race, not a
-// modeling choice.
-TEST_P(SchedulerDeterminism, HostThreadsPartitionedBitIdentical)
-{
-    const Golden &g = GetParam();
-    const auto one = runThreaded(g, 1, cpu::PdesParams::Partition::Force,
-                                 2, 2, /*domains=*/2);
-    for (unsigned threads : {2u, 4u}) {
-        const auto many = runThreaded(
-            g, threads, cpu::PdesParams::Partition::Force, 2, 2,
-            /*domains=*/2);
-        EXPECT_EQ(one.first, many.first) << "hostThreads=" << threads;
-        EXPECT_EQ(one.second, many.second) << "hostThreads=" << threads;
-    }
-}
-
-// The many-domain generalization of the same contract, on a 4-cluster
-// topology whose full cut is 6 domains: a folded 3-way cut (all four
-// managers round-robin onto one manager domain), a prime 5-way cut
-// (managers folded 2+2... onto three), and the full 6-way cut must each
-// be bit-identical across host-thread counts — and, since every cut
-// >= 3 simulates the *same* machine (identical port latencies, only the
-// domain labels differ), bit-identical to each other as well.
-TEST(SchedulerDeterminismManyDomain, OddAndFoldedDomainCutsBitIdentical)
-{
-    const Golden g{"task-chain", RuntimeKind::Phentos, 0};
-    std::pair<Cycle, std::string> reference;
-    for (unsigned domains : {3u, 5u, 6u}) {
-        const auto one = runThreaded(
-            g, 1, cpu::PdesParams::Partition::Force, 2, 4, domains);
-        for (unsigned threads : {2u, 4u}) {
-            const auto many = runThreaded(
-                g, threads, cpu::PdesParams::Partition::Force, 2, 4,
-                domains);
-            EXPECT_EQ(one.first, many.first)
-                << "domains=" << domains << " hostThreads=" << threads;
-            EXPECT_EQ(one.second, many.second)
-                << "domains=" << domains << " hostThreads=" << threads;
-        }
-        if (domains == 3u)
-            reference = one;
-        else
-            EXPECT_EQ(reference, one)
-                << "domain labeling leaked into results, domains="
-                << domains;
-    }
-}
-
-// Domain-count resolution rules (pure function of the topology — never
-// of hostThreads): auto picks the full cut when the cluster link is a
-// real hop and the classic 2-way cut otherwise; explicit requests clamp
-// to what the component graph supports; 1 is not a partition.
-TEST(SchedulerDeterminismManyDomain, DomainCountResolution)
-{
-    cpu::SystemParams sp;
-    sp.numCores = 8;
-    sp.topology.schedShards = 2;
-    sp.topology.clusters = 4;
-    sp.pdes.partition = cpu::PdesParams::Partition::Force;
-    {
-        cpu::System sys(sp); // auto, clusterLinkCycles >= 1
-        EXPECT_TRUE(sys.pdesActive());
-        EXPECT_EQ(sys.pdesDomains(), 6u);
-    }
-    sp.pdes.domains = 99;
-    {
-        cpu::System sys(sp); // clamped to 2 + clusters
-        EXPECT_EQ(sys.pdesDomains(), 6u);
-    }
-    sp.pdes.domains = 2;
-    {
-        cpu::System sys(sp); // the classic cut, on request
-        EXPECT_EQ(sys.pdesDomains(), 2u);
-    }
-    sp.pdes.domains = 1;
-    EXPECT_THROW(cpu::System sys(sp), std::runtime_error);
-    sp.pdes.domains = 0;
-    sp.topology.clusterLinkCycles = 0;
-    {
-        cpu::System sys(sp); // zero-cycle cluster link: auto stays 2-way
-        EXPECT_EQ(sys.pdesDomains(), 2u);
-    }
-}

@@ -55,14 +55,23 @@ testName(const char *workload, RuntimeKind kind)
     return name;
 }
 
-} // namespace
-
 struct GoldenRun
 {
     const char *workload;
     RuntimeKind kind;
     Cycle cycles;
 };
+
+// Without a printer gtest shows the raw bytes of the parameter, which
+// hold the address of the workload string and uninitialised padding,
+// so the test names would change from one process to the next.
+void
+PrintTo(const GoldenRun &g, std::ostream *os)
+{
+    *os << g.cycles;
+}
+
+} // namespace
 
 class SeedGolden : public ::testing::TestWithParam<GoldenRun>
 {

@@ -152,28 +152,6 @@ TEST(Cancel, ArmedButIdleControlsDoNotPerturbTheRun)
     EXPECT_EQ(armed.componentTicks, plain.componentTicks);
 }
 
-TEST(Cancel, PdesRunStopsAtAWindowBarrier)
-{
-    // The partitioned kernel polls the stop check at every window
-    // barrier; a timed-out PDES run must stop cleanly and join all
-    // host threads (this test hangs if it does not).
-    spec::RunSpec s;
-    s.workload = "task-chain";
-    s.wl = {{"tasks", 20000}, {"deps", 1}, {"payload", 500}};
-    s.cores = 8;
-    s.schedShards = 2;
-    s.clusters = 2;
-    s.pdes = cpu::PdesParams::Partition::Force;
-    s.hostThreads = 2;
-    s.canonicalize();
-
-    RunControls ctl;
-    ctl.timeoutSec = 1e-9;
-    const RunResult res = spec::Engine::run(s, ctl);
-    EXPECT_EQ(res.status, RunStatus::TimedOut);
-    EXPECT_FALSE(res.completed);
-}
-
 TEST(Cancel, StatusNamesAreStable)
 {
     EXPECT_STREQ(runStatusName(RunStatus::Ok), "ok");

@@ -19,6 +19,7 @@
 #include <thread>
 
 #include "service/job_manager.hh"
+#include "service/journal.hh"
 #include "service/wire.hh"
 #include "spec/engine.hh"
 #include "spec/run_spec.hh"
@@ -183,6 +184,48 @@ TEST(Recovery, FinishedJobKeepsItsRowsAcrossRestarts)
         ASSERT_TRUE(row.has_value() && row->done);
         EXPECT_EQ(wire::runResultJson(row->result), rowBefore);
         EXPECT_EQ(row->statDump, dumpBefore);
+    }
+}
+
+TEST(Recovery, JobWithARemovedKeyStaysOnDisk)
+{
+    const std::string dir = freshDir("recover_removed_key");
+    std::uint64_t id = 0;
+    {
+        JobManager mgr(journaled(dir));
+        id = mgr.submit(singleRunJob(quickSpec()));
+        EXPECT_EQ(mgr.wait(id).state, JobState::Done);
+    }
+
+    // Rewrite the submit record the way journals written while the
+    // parallel kernel existed stored it: serialize() listed every key,
+    // the removed ones included. The finished row and state follow it.
+    std::vector<std::string> old = Journal::readAll(dir, nullptr);
+    ASSERT_EQ(old.size(), 3u);
+    const std::string run0 = "\"run0\":\"";
+    const std::size_t at = old[0].find(run0);
+    ASSERT_NE(at, std::string::npos);
+    old[0].insert(at + run0.size(),
+                  "pdes=auto pdes-domains=auto host-threads=1 ");
+    Journal::rewrite(dir, old);
+
+    // The job cannot be replayed, but compaction must not delete its
+    // records: the stored result stays on disk across restarts.
+    for (int restart = 0; restart < 2; ++restart) {
+        ::testing::internal::CaptureStderr();
+        JobManager mgr(journaled(dir, /*paused=*/true));
+        const std::string diag = ::testing::internal::GetCapturedStderr();
+        EXPECT_NE(diag.find("job " + std::to_string(id) +
+                            " cannot be replayed"),
+                  std::string::npos)
+            << diag;
+        EXPECT_NE(diag.find("key 'pdes' was removed"), std::string::npos)
+            << diag;
+        EXPECT_FALSE(mgr.status(id).has_value());
+        EXPECT_EQ(Journal::readAll(dir, nullptr), old)
+            << "restart " << restart;
+        if (restart == 1) // its id is never handed out again
+            EXPECT_EQ(mgr.submit(singleRunJob(quickSpec())), id + 1);
     }
 }
 

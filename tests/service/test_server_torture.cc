@@ -154,6 +154,21 @@ TEST_F(TortureServer, MalformedIdsAndUnknownJobsGetErr)
         << reply;
 }
 
+TEST_F(TortureServer, RemovedPdesKeyIsRejectedByName)
+{
+    // Journals and clients from before the parallel kernel's removal may
+    // still send its keys: the ERR names the key and why, no suggestion.
+    const std::string body = "workload=task-free\nhost-threads=4\n";
+    const std::string reply = roundTrip(
+        "SUBMIT " + std::to_string(body.size()) + "\n" + body);
+    ASSERT_EQ(reply.rfind("ERR ", 0), 0u) << reply;
+    EXPECT_EQ(wire::parseJsonString(reply.substr(4)),
+              "key 'host-threads' was removed: the parallel "
+              "(conservative-PDES) kernel was removed and every run uses "
+              "the sequential kernel, so drop it");
+    expectHealthy();
+}
+
 TEST_F(TortureServer, RealWorkStillRunsAfterTheAbuse)
 {
     // A bad-spec SUBMIT crosses the parser error back verbatim...

@@ -50,6 +50,53 @@ class Recorder : public Ticked
     std::vector<std::pair<unsigned, Cycle>> &journal_;
 };
 
+/** Event-driven component that, on its first evaluation after the
+ *  registration pass, wakes @c next for the CURRENT cycle. */
+class Relay : public Ticked
+{
+  public:
+    Relay(const Clock &clk, unsigned id,
+          std::vector<std::pair<unsigned, Cycle>> &journal)
+        : Ticked("relay" + std::to_string(id)), clk_(clk), id_(id),
+          journal_(journal)
+    {
+    }
+
+    void
+    tick() override
+    {
+        if (clk_.now() == 0)
+            return; // registration pass
+        journal_.emplace_back(id_, clk_.now());
+        if (next != nullptr) {
+            next->requestWake(clk_.now());
+            next = nullptr;
+        }
+    }
+
+    bool active() const override { return false; }
+
+    Ticked *next = nullptr;
+
+  private:
+    const Clock &clk_;
+    unsigned id_;
+    std::vector<std::pair<unsigned, Cycle>> &journal_;
+};
+
+/** Busy for the first n cycles: keeps the next cycle armed, so the
+ *  kernel stays on its dense-phase fast path. */
+class Busy : public Ticked
+{
+  public:
+    explicit Busy(unsigned n) : Ticked("busy"), remaining_(n) {}
+    void tick() override { remaining_ -= remaining_ > 0 ? 1 : 0; }
+    bool active() const override { return remaining_ > 0; }
+
+  private:
+    unsigned remaining_;
+};
+
 struct Wake
 {
     unsigned comp;
@@ -176,4 +223,37 @@ TEST(SchedulerContract, EvaluationSparsityIsPreserved)
     sim.runFor(200'000);
     EXPECT_EQ(sim.evaluatedCycles(), 3u);
     EXPECT_EQ(sim.componentTicks(), 3u);
+}
+
+TEST(SchedulerContract, SameCycleWakesAcrossMaskWordsAreNeverStranded)
+{
+    // Wakes requested for the current cycle from inside a tick, in a
+    // dense phase (the next cycle is always armed), within one
+    // bucket-mask word and across words in both directions. A
+    // later-registered target runs this very cycle; an earlier-registered
+    // one slips to the next cycle. None may be left armed behind the
+    // clock: the kernel's dense fast path jumps straight to now + 1.
+    Simulator sim;
+    std::vector<std::pair<unsigned, Cycle>> journal;
+    std::vector<std::unique_ptr<Relay>> relays;
+    for (unsigned i = 0; i < 130; ++i) {
+        relays.push_back(std::make_unique<Relay>(sim.clock(), i, journal));
+        sim.addTicked(relays.back().get());
+    }
+    Busy busy(2000);
+    sim.addTicked(&busy);
+
+    relays[3]->next = relays[50].get();   // same word, same cycle
+    relays[50]->next = relays[100].get(); // word 0 -> word 1, same cycle
+    relays[100]->next = relays[10].get(); // word 1 -> word 0, slips
+    relays[10]->next = relays[129].get(); // word 0 -> word 2, same cycle
+    relays[129]->next = relays[64].get(); // word 2 -> word 1, slips
+    relays[3]->requestWake(1000);
+    sim.runFor(3000);
+
+    const std::vector<std::pair<unsigned, Cycle>> expected = {
+        {3, 1000},  {50, 1000}, {100, 1000},
+        {10, 1001}, {129, 1001}, {64, 1002}};
+    EXPECT_EQ(journal, expected);
+    EXPECT_EQ(sim.clock().now(), 3000u);
 }

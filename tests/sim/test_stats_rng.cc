@@ -63,6 +63,26 @@ TEST(StatGroup, LookupAndDump)
     EXPECT_EQ(g.scalarValue("a.count"), 0.0);
 }
 
+// The dump is the equality oracle of the kernel-equivalence, checkpoint
+// and bisection gates: counters past six significant digits must not
+// round together, and non-integral means must round-trip.
+TEST(StatGroup, DumpIsExactForLargeCountersAndMeans)
+{
+    const auto dumpOf = [](double counter, double sample) {
+        StatGroup g;
+        g.scalar("core1.resumes") += counter;
+        g.dist("q.lat").sample(sample);
+        g.dist("q.lat").sample(0.0);
+        std::ostringstream os;
+        g.dump(os);
+        return os.str();
+    };
+    EXPECT_NE(dumpOf(1'121'000, 1.0), dumpOf(1'121'001, 1.0));
+    EXPECT_NE(dumpOf(1'121'000, 1.0000001), dumpOf(1'121'000, 1.0000002));
+    EXPECT_NE(dumpOf(1'121'000, 1.0).find(" 1121000\n"),
+              std::string::npos);
+}
+
 TEST(Rng, DeterministicForSeed)
 {
     Rng a(42), b(42), c(43);

@@ -1,7 +1,7 @@
 /** @file Golden-equivalence tests for the spec::Engine facade: a spec
  *  assembled from flags, a spec parsed from a file, and a hand-built
  *  legacy harness run must all produce bit-identical cycle counts — in
- *  both simulation kernels and at every PDES host-thread count. */
+ *  both simulation kernels. */
 
 #include <gtest/gtest.h>
 
@@ -219,29 +219,6 @@ TEST(Engine, RunInspectedMatchesRun)
     ASSERT_NE(run.runtime, nullptr);
     EXPECT_TRUE(run.result.completed);
     EXPECT_EQ(run.result.cycles, Engine::run(s).cycles);
-}
-
-TEST(Engine, PdesIsBitIdenticalAcrossHostThreadCounts)
-{
-    // The partitioned kernel must agree with the unpartitioned one at
-    // every host-thread count — the acceptance bar for every PDES change.
-    RunSpec base = smallSpec();
-    base.cores = 8;
-    base.schedShards = 2;
-    base.clusters = 2;
-
-    RunSpec off = base;
-    off.pdes = cpu::PdesParams::Partition::Off;
-    const Cycle golden = Engine::run(off).cycles;
-    EXPECT_GT(golden, 0u);
-
-    for (unsigned threads : {1u, 2u, 4u}) {
-        RunSpec s = base;
-        s.pdes = cpu::PdesParams::Partition::Force;
-        s.hostThreads = threads;
-        EXPECT_EQ(Engine::run(s).cycles, golden)
-            << "host-threads=" << threads;
-    }
 }
 
 TEST(Engine, BuildProgramGoesThroughTheRegistry)

@@ -45,9 +45,8 @@ TEST(RunSpec, EveryKeyNonDefaultRoundTrips)
         {"xshard-notify", "7"},    {"steal-penalty", "11"},
         {"gateway-depth", "6"},    {"rocc-latency", "4"},
         {"core-ready-depth", "3"}, {"bandwidth-alpha", "0.125"},
-        {"pdes", "force"},         {"pdes-domains", "4"},
-        {"host-threads", "2"},     {"repeat", "2"},
-        {"seed", "99"},            {"cycle-limit", "123456789"},
+        {"repeat", "2"},           {"seed", "99"},
+        {"cycle-limit", "123456789"},
     };
     for (const auto &[key, value] : pairs)
         s.setKey(key, value);
@@ -70,8 +69,7 @@ TEST(RunSpec, EachKeyRoundTripsIndividually)
         {"gateway-depth", "1"},   {"rocc-latency", "160"},
         {"core-ready-depth", "8"},
         {"bandwidth-alpha", "0.029"},
-        {"pdes", "off"},          {"pdes-domains", "258"},
-        {"host-threads", "256"},  {"repeat", "1000000"},
+        {"repeat", "1000000"},
         {"seed", "18446744073709551615"},
         {"cycle-limit", "1"},
     };
@@ -246,15 +244,6 @@ TEST(RunSpec, CrossKeyConstraints)
                      "--clusters=8 exceeds --cores=4 (each cluster needs "
                      "at least one core)");
     }
-
-    RunSpec w;
-    w.pdes = cpu::PdesParams::Partition::Off;
-    w.hostThreads = 4;
-    const auto warnings = w.canonicalize("--");
-    ASSERT_EQ(warnings.size(), 1u);
-    EXPECT_EQ(warnings[0],
-              "warning: --host-threads=4 is ignored with --pdes=off (the "
-              "unpartitioned kernel is sequential)");
 }
 
 TEST(RunSpec, UnknownWorkloadSuggestsNearest)
@@ -279,5 +268,28 @@ TEST(RunSpec, KeysAreUniqueAndNearestKeyWorks)
         for (std::size_t j = i + 1; j < keys.size(); ++j)
             EXPECT_NE(keys[i], keys[j]);
     EXPECT_EQ(RunSpec::nearestKey("cors"), "cores");
-    EXPECT_EQ(RunSpec::nearestKey("hostthreads"), "host-threads");
+    EXPECT_EQ(RunSpec::nearestKey("cyclelimit"), "cycle-limit");
+}
+
+TEST(RunSpec, RemovedPdesKeysAreRejectedByName)
+{
+    // Spec files and BENCH stamps written before the parallel kernel was
+    // removed still carry its keys: each must fail naming itself and the
+    // reason, in key=value and JSON form, never with a did-you-mean.
+    for (const std::string key : {"pdes", "pdes-domains", "host-threads"}) {
+        for (const std::string &text :
+             {"workload=task-free " + key + "=2",
+              "{\"workload\": \"task-free\", \"" + key + "\": \"2\"}"}) {
+            try {
+                RunSpec::parse(text);
+                FAIL() << "expected SpecError for " << text;
+            } catch (const SpecError &e) {
+                EXPECT_EQ(std::string(e.what()),
+                          "key '" + key +
+                              "' was removed: the parallel (conservative-"
+                              "PDES) kernel was removed and every run "
+                              "uses the sequential kernel, so drop it");
+            }
+        }
+    }
 }

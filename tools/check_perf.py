@@ -4,14 +4,13 @@ checked-in baseline.
 
 Fails (exit 1) when:
   * any row reports identical: false (the event kernel diverged from the
-    tick-the-world reference, or a PDES run diverged across host thread
-    counts — a correctness bug, never acceptable);
+    tick-the-world reference, or the pooled Figure 9 sweep diverged from
+    the serial one — a correctness bug, never acceptable);
   * a mode_compare row's wallSpeedup regressed more than the tolerance
     below its baseline value;
-  * a batch_throughput poolSpeedup or pdes_compare pdesSpeedup regressed
-    more than the tolerance below baseline — but ONLY when both the
-    fresh row and the baseline row were measured with hostConcurrency
-    > 1. On a single-hardware-thread host a worker pool cannot beat 1x
+  * a batch_throughput poolSpeedup regressed more than the tolerance
+    below baseline — but ONLY when both the fresh row and the baseline
+    row were measured with hostConcurrency > 1. On a single-hardware-thread host a worker pool cannot beat 1x
     by construction, so those comparisons are loudly SKIPPED rather
     than reported as regressions.
 
@@ -27,11 +26,10 @@ scheduler regression — an O(log n) structure creeping back, a per-event
 allocation — shifts the ratio well past it.
 
 With --expect-scaling[=FLOOR] the gate additionally enforces an
-ABSOLUTE floor (default 1.05x) on every fresh poolSpeedup and
-pdesSpeedup row: a multi-worker pool and the partitioned PDES kernel
-must actually beat single-threaded execution on a multi-core host, not
-merely match their own previous measurement. On a single-hardware-
-thread host those rows are loudly SKIPPED (a 1-CPU box cannot scale by
+ABSOLUTE floor (default 1.05x) on every fresh poolSpeedup row: a
+multi-worker pool must actually beat single-threaded execution on a
+multi-core host, not merely match its own previous measurement. On a
+single-hardware-thread host that row is loudly SKIPPED (a 1-CPU box cannot scale by
 construction) — the CI leg that passes this flag guards itself with an
 nproc check for the same reason.
 
@@ -114,13 +112,7 @@ def main():
         except (TypeError, ValueError):
             return 0
 
-    def worker_threads(row):
-        try:
-            return int(row.get("workerThreads", 0))
-        except (TypeError, ValueError):
-            return 0
-
-    def check_pool_speedup(bench, field, need_workers=False):
+    def check_pool_speedup(bench, field):
         base_rows = [r for r in baseline if r.get("bench") == bench]
         fresh_rows = [r for r in fresh if r.get("bench") == bench]
         for row in fresh_rows:
@@ -139,19 +131,6 @@ def main():
                       "worker pool cannot speed up a 1-CPU box, so this "
                       "comparison is unmeasurable here — NOT a pass)")
                 continue
-            if need_workers and (got_hc < worker_threads(row)
-                                 or want_hc < worker_threads(base)):
-                # A PDES run at N host threads is only a fair speedup
-                # measurement on a host with >= N hardware threads; an
-                # oversubscribed point says nothing about the kernel.
-                which = ("fresh"
-                         if got_hc < worker_threads(row) else "baseline")
-                print(f"{label:32s} {field} SKIPPED "
-                      f"(hostConcurrency < workerThreads on the {which} "
-                      "host: this point needs "
-                      f"{worker_threads(row)} hardware threads to be "
-                      "measurable — NOT a pass)")
-                continue
             got = float(row[field])
             want = float(base[field])
             floor = want * (1.0 - tolerance)
@@ -165,9 +144,8 @@ def main():
                     + replay_hint(row))
 
     check_pool_speedup("batch_throughput", "poolSpeedup")
-    check_pool_speedup("pdes_compare", "pdesSpeedup", need_workers=True)
 
-    def expect_scaling(bench, field, need_workers=False):
+    def expect_scaling(bench, field):
         # Absolute multi-thread gate (--expect-scaling): fresh rows must
         # clear the floor outright, independent of any baseline.
         for row in (r for r in fresh if r.get("bench") == bench):
@@ -177,11 +155,6 @@ def main():
                 print(f"{label:32s} {field} SKIPPED (scaling gate: "
                       "hostConcurrency == 1 — a 1-CPU host cannot "
                       "scale, so this row is unmeasurable — NOT a pass)")
-                continue
-            if need_workers and hc < worker_threads(row):
-                print(f"{label:32s} {field} SKIPPED (scaling gate: "
-                      f"needs {worker_threads(row)} hardware threads, "
-                      f"host has {hc} — NOT a pass)")
                 continue
             got = float(row[field])
             status = "ok" if got >= scaling_floor else "NO SCALING"
@@ -195,7 +168,6 @@ def main():
 
     if scaling_floor is not None:
         expect_scaling("batch_throughput", "poolSpeedup")
-        expect_scaling("pdes_compare", "pdesSpeedup", need_workers=True)
 
     if failures:
         print("\nperf-smoke FAILED:")

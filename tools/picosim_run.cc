@@ -4,40 +4,8 @@
  * keys (`--cores=16` sets the spec key `cores`); the driver parses them
  * into a spec::RunSpec, resolves it through the workload registry, and
  * dispatches to spec::Engine. Multiple workloads (comma-separated) are
- * simulated in parallel on a worker pool.
- *
- * Usage:
- *   picosim_run [--list] [--list-workloads]
- *               [--spec=FILE] [--dump-spec]
- *               [--workload=NAME[,NAME...]] [--wl.PARAM=N ...]
- *               [--runtime=KIND] [--cores=N] [--jobs=N]
- *               [--mode=event|tickworld] [--mem=inline|timed] [--mshrs=N]
- *               [--bus-bytes=N] [--mem-occupancy=N] [--sched-shards=N]
- *               [--clusters=N] [--steal=on|off] [--host-threads=N]
- *               [--pdes=auto|off|force] [--pdes-domains=auto|N]
- *               [--repeat=N] [--seed=N] [--nested] [--stats]
- *               [--trace=FILE.json]
- *
- *   NAME: a workload-registry name (see --list-workloads), optionally
- *         parameterized with --wl.PARAM flags, or a Figure-9 input label
- *         substring, e.g. "blackscholes 4K B8" (rewritten to the registry
- *         name plus its wl.* parameters).
- *   --spec: read key=value pairs (or a flat JSON object) from FILE first;
- *         command-line flags override file keys.
- *   --dump-spec: print the fully resolved spec (one key=value per line)
- *         and exit. `picosim_run --dump-spec ... | picosim_run --spec
- *         /dev/stdin` reproduces the run exactly.
- *   --nested: taskbench nested mode — task-free/task-chain become the
- *         equivalent recursive task trees (workers spawn the children).
- *   KIND: serial | nanos-sw | nanos-rv | nanos-axi | phentos
- *   --jobs: worker threads for multi-workload batches (default: hardware
- *           concurrency). Execution-only: not part of the spec.
- *
- * Every other key is documented in src/spec/run_spec.hh; unknown flags
- * and misspelled keys are rejected with a nearest-key suggestion.
- *
- * --stats / --trace need the simulated System inspectable after the run,
- * so they force the single-workload in-process path.
+ * simulated in parallel on a worker pool. `picosim_run --help` prints
+ * the usage (kUsage below).
  */
 
 #include <cstdio>
@@ -63,6 +31,38 @@ using namespace picosim;
 namespace
 {
 
+constexpr const char *kUsage = R"(usage:
+  picosim_run [--help] [--list] [--list-workloads]
+              [--spec=FILE] [--dump-spec]
+              [--workload=NAME[,NAME...]] [--wl.PARAM=N ...]
+              [--runtime=KIND] [--cores=N] [--jobs=N]
+              [--mode=event|tickworld] [--mem=inline|timed] [--mshrs=N]
+              [--bus-bytes=N] [--mem-occupancy=N] [--sched-shards=N]
+              [--clusters=N] [--steal=on|off]
+              [--repeat=N] [--seed=N] [--nested] [--stats]
+              [--trace=FILE.json]
+
+  NAME: a workload-registry name (see --list-workloads), optionally
+        parameterized with --wl.PARAM flags, or a Figure-9 input label
+        substring, e.g. "blackscholes 4K B8" (rewritten to the registry
+        name plus its wl.* parameters).
+  --spec: read key=value pairs (or a flat JSON object) from FILE first;
+        command-line flags override file keys.
+  --dump-spec: print the fully resolved spec (one key=value per line)
+        and exit. `picosim_run --dump-spec ... | picosim_run --spec
+        /dev/stdin` reproduces the run exactly.
+  --nested: taskbench nested mode: task-free/task-chain become the
+        equivalent recursive task trees (workers spawn the children).
+  KIND: serial | nanos-sw | nanos-rv | nanos-axi | phentos
+  --jobs: worker threads for multi-workload batches (default: hardware
+        concurrency). Execution-only: not part of the spec.
+  --stats / --trace: keep the simulated System inspectable after the
+        run, so they force the single-workload in-process path.
+
+Every other key is documented in src/spec/run_spec.hh; unknown flags
+and misspelled keys are rejected with a nearest-key suggestion.
+)";
+
 /** One parsed command-line argument: `--key=value` or a bare `--flag`. */
 struct CliArg
 {
@@ -73,7 +73,7 @@ struct CliArg
 
 /** Bare flags (no value) the driver itself consumes. */
 constexpr const char *kBareFlags[] = {
-    "list", "list-workloads", "dump-spec", "nested", "stats",
+    "help", "list", "list-workloads", "dump-spec", "nested", "stats",
 };
 
 /** Valued flags that are not spec keys (execution/introspection only). */
@@ -255,13 +255,15 @@ runMain(int argc, char **argv)
     const std::vector<CliArg> args = parseArgv(argc, argv);
 
     // Pass 1: driver-level flags.
-    bool list = false, list_workloads = false, dump_spec = false;
+    bool help = false, list = false, list_workloads = false;
+    bool dump_spec = false;
     bool nested = false, stats = false;
     std::optional<std::string> workloads_flag, trace_path, spec_path;
     unsigned jobs = 0;
     for (const CliArg &a : args) {
         if (!isBareFlag(a.key) && !isDriverValueFlag(a.key) &&
             !isSpecKey(a.key)) {
+            spec::RunSpec::rejectRemovedKey(a.key, "--");
             throw spec::SpecError(
                 "unknown flag '--" + a.key + "'" +
                 spec::didYouMean(a.key, nearestFlag(a.key), "--"));
@@ -271,7 +273,8 @@ runMain(int argc, char **argv)
                 throw spec::SpecError("--" + a.key +
                                       " does not take a value");
             }
-            if (a.key == "list") list = true;
+            if (a.key == "help") help = true;
+            else if (a.key == "list") list = true;
             else if (a.key == "list-workloads") list_workloads = true;
             else if (a.key == "dump-spec") dump_spec = true;
             else if (a.key == "nested") nested = true;
@@ -312,6 +315,10 @@ runMain(int argc, char **argv)
         // Spec keys are applied in pass 2 (after any --spec file).
     }
 
+    if (help) {
+        std::fputs(kUsage, stdout);
+        return 0;
+    }
     if (list) {
         printList();
         return 0;
@@ -356,7 +363,7 @@ runMain(int argc, char **argv)
         names = {"blackscholes 4K B32"};
     }
 
-    // Resolve one canonical spec per workload name; warnings once.
+    // Resolve one canonical spec per workload name.
     std::vector<spec::RunSpec> specs;
     if (names.empty()) {
         specs.push_back(base);
@@ -367,13 +374,8 @@ runMain(int argc, char **argv)
             specs.push_back(std::move(sp));
         }
     }
-    for (std::size_t i = 0; i < specs.size(); ++i) {
-        const auto warnings = specs[i].canonicalize("--");
-        if (i == 0) {
-            for (const std::string &w : warnings)
-                std::fprintf(stderr, "%s\n", w.c_str());
-        }
-    }
+    for (spec::RunSpec &sp : specs)
+        sp.canonicalize("--");
 
     if (dump_spec) {
         if (specs.size() > 1) {

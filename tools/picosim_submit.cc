@@ -277,11 +277,6 @@ submitSpec(int fd, const Options &opt)
     std::uint64_t id = 0;
     std::size_t runs = 0;
     while (in.readLine(line)) {
-        if (line.rfind("WARN ", 0) == 0) {
-            std::fprintf(stderr, "%s\n",
-                         wire::parseJsonString(line.substr(5)).c_str());
-            continue;
-        }
         if (line.rfind("ERR", 0) == 0) {
             const std::size_t sp = line.find(' ');
             std::fprintf(stderr, "%s\n",
