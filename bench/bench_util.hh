@@ -18,6 +18,7 @@
 
 #include "runtime/harness.hh"
 #include "service/job_manager.hh"
+#include "service/run_plan.hh"
 #include "spec/engine.hh"
 #include "spec/run_spec.hh"
 #include "spec/workload_registry.hh"
@@ -201,44 +202,38 @@ localJobService()
     return mgr;
 }
 
+/** Run @p runs as one job on the local job service; results are
+ *  positional. Throws on a failed job (first error message). */
+inline std::vector<rt::RunResult>
+runJobRuns(std::vector<spec::RunSpec> runs)
+{
+    svc::JobManager &mgr = localJobService();
+    svc::JobSpec js;
+    js.runs = std::move(runs);
+    const std::uint64_t id = mgr.submit(std::move(js));
+    const svc::JobStatus st = mgr.wait(id);
+    if (st.state == svc::JobState::Failed)
+        throw spec::SpecError(st.error);
+    std::vector<rt::RunResult> out;
+    for (svc::RunRow &row : mgr.runRows(id))
+        out.push_back(std::move(row.result));
+    return out;
+}
+
 /** Run one spec as a single-run job on the local job service. */
 inline rt::RunResult
 runJob(const spec::RunSpec &s)
 {
-    svc::JobManager &mgr = localJobService();
-    svc::JobSpec js;
-    js.runs = {s};
-    const std::uint64_t id = mgr.submit(std::move(js));
-    const svc::JobStatus st = mgr.wait(id);
-    if (st.state == svc::JobState::Failed)
-        throw spec::SpecError(st.error);
-    std::vector<svc::RunRow> rows = mgr.runRows(id);
-    return std::move(rows.at(0).result);
+    return std::move(runJobRuns({s}).at(0));
 }
 
-/** runJob plus the serial baseline (fills serialCycles) — the job-core
- *  equivalent of spec::Engine::runWithSpeedup. */
+/** runJob plus the serial baseline (fills serialCycles), expanded and
+ *  folded by svc::RunPlan exactly as `picosim_run` does. */
 inline rt::RunResult
 runJobWithSpeedup(const spec::RunSpec &s)
 {
-    if (s.runtime == rt::RuntimeKind::Serial) {
-        rt::RunResult res = runJob(s);
-        res.serialCycles = res.cycles;
-        return res;
-    }
-    spec::RunSpec serial = s;
-    serial.runtime = rt::RuntimeKind::Serial;
-    svc::JobManager &mgr = localJobService();
-    svc::JobSpec js;
-    js.runs = {s, std::move(serial)};
-    const std::uint64_t id = mgr.submit(std::move(js));
-    const svc::JobStatus st = mgr.wait(id);
-    if (st.state == svc::JobState::Failed)
-        throw spec::SpecError(st.error);
-    std::vector<svc::RunRow> rows = mgr.runRows(id);
-    rt::RunResult res = std::move(rows.at(0).result);
-    res.serialCycles = rows.at(1).result.cycles;
-    return res;
+    const svc::RunPlan plan = svc::RunPlan::make({s});
+    return plan.fold(runJobRuns(plan.runs)).at(0);
 }
 
 /**

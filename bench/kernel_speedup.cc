@@ -8,8 +8,8 @@
  *     reference, with identical cycle results. Each mode is run several
  *     times and the minimum wall time is reported, so the speedup is a
  *     ratio of floors rather than of noise.
- *  2. Batch throughput: the Figure 9 matrix swept by runBatch() with one
- *     worker vs a pool, with identical rows. The pool result is only
+ *  2. Batch throughput: the Figure 9 matrix swept as one JobManager job
+ *     with one worker vs a pool, with identical rows. The pool result is only
  *     meaningful relative to hostConcurrency (also emitted): on a
  *     single-hardware-thread host the pool cannot beat 1x by
  *     construction.

@@ -5,15 +5,16 @@
  * on fine tasks while the tightly-integrated scheduler keeps scaling --
  * the "task granularity wall" of Section I, measured end to end.
  *
- * The whole sweep (6 block sizes x 4 runtimes) runs as one batch on the
- * harness's worker pool; each point simulates on its own System.
+ * The whole sweep (6 block sizes x 4 runtimes) runs as one job on the
+ * job manager's worker pool; each point simulates on its own System.
  */
 
 #include <cstdio>
+#include <cstdlib>
 #include <vector>
 
-#include "apps/workloads.hh"
-#include "runtime/harness.hh"
+#include "service/job_manager.hh"
+#include "spec/run_spec.hh"
 
 using namespace picosim;
 
@@ -25,10 +26,23 @@ main()
         rt::RuntimeKind::Serial, rt::RuntimeKind::NanosSW,
         rt::RuntimeKind::NanosRV, rt::RuntimeKind::Phentos};
 
-    std::vector<rt::Program> progs;
-    for (const unsigned block : blocks)
-        progs.push_back(apps::blackscholes(4096, block));
-    const auto results = rt::runMatrix(progs, kinds);
+    // Run i is block i / kinds.size() under kind i % kinds.size().
+    svc::JobSpec job;
+    for (const unsigned block : blocks) {
+        for (const rt::RuntimeKind kind : kinds) {
+            spec::RunSpec s;
+            s.workload = "blackscholes";
+            s.wl = {{"options", 4096}, {"block", block}};
+            s.runtime = kind;
+            s.canonicalize();
+            job.runs.push_back(s);
+        }
+    }
+    svc::JobManager manager;
+    const std::uint64_t id = manager.submit(std::move(job));
+    if (manager.wait(id).state != svc::JobState::Done)
+        return 1;
+    const std::vector<svc::RunRow> rows = manager.runRows(id);
 
     std::printf("blackscholes, 4096 options, 8 cores\n");
     std::printf("%-6s %8s %12s %10s %10s %10s\n", "block", "tasks",
@@ -39,7 +53,7 @@ main()
         const auto at = [&](rt::RuntimeKind kind) -> const rt::RunResult & {
             for (std::size_t k = 0; k < kinds.size(); ++k)
                 if (kinds[k] == kind)
-                    return results[b][k];
+                    return rows[b * kinds.size() + k].result;
             std::abort(); // kind not part of this sweep
         };
         const rt::RunResult &serial = at(rt::RuntimeKind::Serial);

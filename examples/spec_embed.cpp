@@ -46,11 +46,15 @@ main()
         sweep.push_back(s);
     }
 
+    // The speedup baseline is the same spec under the serial runtime.
+    spec::RunSpec serial = base;
+    serial.runtime = rt::RuntimeKind::Serial;
+    const Cycle serialCycles = spec::Engine::run(serial).cycles;
+
     std::printf("%-6s %12s %9s\n", "cores", "cycles", "speedup");
     for (const spec::RunSpec &s : sweep) {
-        // runWithSpeedup also runs the serial baseline; Engine::run()
-        // skips it, Engine::runBatch() spreads specs over a worker pool.
-        const rt::RunResult r = spec::Engine::runWithSpeedup(s);
+        rt::RunResult r = spec::Engine::run(s);
+        r.serialCycles = serialCycles;
         std::printf("%-6u %12llu %8.2fx\n", s.cores,
                     static_cast<unsigned long long>(r.cycles),
                     r.speedup());

@@ -1,15 +1,15 @@
 /**
  * @file
- * Cooperative cancellation for simulation runs and run batches.
+ * Cooperative cancellation for simulation runs.
  *
- * A CancelToken is a one-way latch shared between a controller (a batch
- * driver, the job manager, a signal handler) and the harness executing a
- * run. The controller calls cancel() once; the harness polls cancelled()
- * only at deterministic simulation boundaries — before starting the next
- * run of a batch and at the kernel's cycle-dispatch boundary — so a
- * cancelled run stops at a clean schedule point and every run it shared a batch with produces
- * results bit-identical to a solo execution (each run simulates a
- * private System; cancellation never mutates another run's state).
+ * A CancelToken is a one-way latch shared between a controller (the job
+ * manager, a signal handler) and the harness executing a run. The
+ * controller calls cancel() once; the harness polls cancelled() only at
+ * deterministic simulation boundaries — before starting a run and at
+ * the kernel's cycle-dispatch boundary — so a cancelled run stops at a
+ * clean schedule point and every run beside it produces results
+ * bit-identical to a solo execution (each run simulates a private
+ * System; cancellation never mutates another run's state).
  *
  * The token never resets: a job that observed cancellation stays
  * cancelled. Wall-clock timeouts use the same polling points but are

@@ -1,14 +1,8 @@
 #include "runtime/harness.hh"
 
-#include <atomic>
 #include <chrono>
 #include <exception>
-#include <iterator>
-#include <mutex>
-#include <optional>
-#include <semaphore>
 #include <sstream>
-#include <thread>
 
 #include "runtime/nanos.hh"
 #include "runtime/phentos.hh"
@@ -49,6 +43,11 @@ makeRuntime(RuntimeKind kind, const CostModel &cm)
     sim::fatal("unknown runtime kind");
 }
 
+namespace
+{
+
+/** Copy the interconnect/memory contention counters of a finished run
+ *  (timed memory mode; zeros under MemMode::Inline) into @p res. */
 void
 fillContentionStats(RunResult &res, cpu::System &sys)
 {
@@ -75,29 +74,21 @@ fillContentionStats(RunResult &res, cpu::System &sys)
     res.workSteals = stat("sharded.steals");
 }
 
+/**
+ * Arm @p sys's cooperative stop check from @p ctl: cancellation, the
+ * wall-clock deadline, and the drop-job fault (stops the run with the
+ * Dropped status once the simulated clock reaches the fault cycle).
+ * No-op when none of them is set.
+ */
 void
 armControls(cpu::System &sys, const RunControls &ctl,
             const sim::FaultPlan &fault)
 {
-    // Compose the wall-clock deadline: the tighter of the caller's
-    // absolute cutoff and a per-run budget counted from right here.
     using SteadyClock = std::chrono::steady_clock;
-    SteadyClock::time_point deadline{};
-    bool hasDeadline = false;
-    if (ctl.hasDeadline) {
-        deadline = ctl.deadline;
-        hasDeadline = true;
-    }
-    if (ctl.timeoutSec > 0.0) {
-        const auto budget = SteadyClock::now() +
-            std::chrono::duration_cast<SteadyClock::duration>(
-                std::chrono::duration<double>(ctl.timeoutSec));
-        if (!hasDeadline || budget < deadline)
-            deadline = budget;
-        hasDeadline = true;
-    }
+    const CancelToken *cancel = ctl.cancel;
+    const auto deadline = ctl.deadline;
     const bool drops = fault.kind == sim::FaultKind::DropJob;
-    if (!ctl.cancel && !ctl.groupCancel && !hasDeadline && !drops)
+    if (!cancel && !deadline && !drops)
         return;
     // The drop-job fault is a simulated-clock condition, so unlike the
     // wall-clock legs it stops at the same deterministic boundary in
@@ -105,15 +96,16 @@ armControls(cpu::System &sys, const RunControls &ctl,
     const sim::Clock *clk = drops ? &sys.clock() : nullptr;
     const Cycle dropCycle = fault.cycle;
     sys.simulator().setStopCheck(
-        [ctl, deadline, hasDeadline, clk, dropCycle]() noexcept {
-            if (ctl.cancelRequested())
+        [cancel, deadline, clk, dropCycle]() noexcept {
+            if (cancel && cancel->cancelled())
                 return true;
             if (clk != nullptr && clk->now() >= dropCycle)
                 return true;
-            return hasDeadline && SteadyClock::now() >= deadline;
+            return deadline && SteadyClock::now() >= *deadline;
         });
 }
 
+/** How a finished run of @p sys ended under @p ctl. */
 RunStatus
 finishStatus(cpu::System &sys, const RunControls &ctl, bool completed,
              const sim::FaultPlan &fault)
@@ -129,6 +121,25 @@ finishStatus(cpu::System &sys, const RunControls &ctl, bool completed,
     return completed ? RunStatus::Ok : RunStatus::CycleLimit;
 }
 
+/** Outcome of the checkpoint machinery for one run, written from the
+ *  simulation thread by the hook armCheckpoints installs and read by
+ *  the run epilogue. */
+struct CheckpointOutcome
+{
+    std::uint64_t taken = 0;   ///< checkpoints fired this run
+    bool mismatch = false;     ///< resume digest differed, or hook threw
+    std::string message;       ///< human-readable mismatch description
+};
+
+/**
+ * Install the checkpoint hook on @p sys from @p ctl: periodic
+ * checkpoints every ctl.checkpointEvery cycles and/or resume
+ * verification against ctl.resumeFrom (when resuming without periodic
+ * checkpoints, the stride is armed at exactly the resume cycle so the
+ * replay re-crosses the recorded boundary — see DESIGN.md for why that
+ * reproduces the original label). Returns the shared outcome record;
+ * never null. No-op (hookless) when neither field is set.
+ */
 std::shared_ptr<CheckpointOutcome>
 armCheckpoints(cpu::System &sys, const RunControls &ctl)
 {
@@ -156,8 +167,8 @@ armCheckpoints(cpu::System &sys, const RunControls &ctl)
         // The hook must not throw (an exception would escape the run
         // loop and lose the run's result; see sim::CheckpointHook), so
         // every failure path — user callback throw, OOM in the dump —
-        // is converted into a mismatch record the harness epilogue
-        // turns into RunStatus::Error.
+        // is converted into a mismatch record the run epilogue turns
+        // into RunStatus::Error.
         [out, sysp, resume, dumps, cb](Cycle boundary) noexcept {
             try {
                 std::ostringstream os;
@@ -172,19 +183,16 @@ armCheckpoints(cpu::System &sys, const RunControls &ctl)
                 if (dumps)
                     cp.statDump = std::move(dump);
 
-                if (resume != nullptr && boundary == resume->cycle) {
-                    if (cp.digest == resume->digest) {
-                        out->verified = true;
-                    } else if (!out->mismatch) {
-                        out->mismatch = true;
-                        out->message =
-                            "checkpoint digest mismatch at cycle " +
-                            std::to_string(boundary) +
-                            ": the replayed run diverged from the "
-                            "checkpointed one (spec, binary or "
-                            "environment changed since the checkpoint "
-                            "was taken)";
-                    }
+                if (resume != nullptr && boundary == resume->cycle &&
+                    cp.digest != resume->digest && !out->mismatch) {
+                    out->mismatch = true;
+                    out->message =
+                        "checkpoint digest mismatch at cycle " +
+                        std::to_string(boundary) +
+                        ": the replayed run diverged from the "
+                        "checkpointed one (spec, binary or "
+                        "environment changed since the checkpoint "
+                        "was taken)";
                 }
                 if (cb)
                     cb(cp);
@@ -205,45 +213,57 @@ armCheckpoints(cpu::System &sys, const RunControls &ctl)
     return out;
 }
 
-RunResult
-runProgram(RuntimeKind kind, const Program &prog,
-           const HarnessParams &params)
-{
-    const RunControls &ctl = params.controls;
-    if (ctl.cancelRequested()) {
-        // Between-runs cancellation boundary: report the job cancelled
-        // without building a System (nothing simulated, nothing leaked).
-        RunResult res;
-        res.runtime = std::string(kindName(kind));
-        res.program = prog.name;
-        res.status = RunStatus::Cancelled;
-        return res;
-    }
+} // namespace
 
+std::unique_ptr<cpu::System>
+makeSystem(RuntimeKind kind, const HarnessParams &params)
+{
     cpu::SystemParams sp = params.system;
-    sp.numCores = kind == RuntimeKind::Serial ? 1 : params.numCores;
-    sp.fault = params.fault;
     if (kind == RuntimeKind::Serial) {
-        // The serial baseline never touches the scheduler; a clustered
-        // topology cannot be laid out over its single core, and a
-        // shard/link fault has no meaning without one.
+        sp.numCores = 1;
         sp.topology = {};
         sp.fault = {};
     }
+    return std::make_unique<cpu::System>(sp);
+}
 
-    cpu::System sys(sp);
-    std::unique_ptr<Runtime> runtime = makeRuntime(kind, params.costs);
-    runtime->install(sys, prog);
-    armControls(sys, ctl, params.fault);
+InspectedRun
+runInspected(RuntimeKind kind, const Program &prog,
+             const HarnessParams &params, TaskTrace *trace)
+{
+    const RunControls &ctl = params.controls;
+    InspectedRun out;
+    out.system = makeSystem(kind, params);
+    out.runtime = makeRuntime(kind, params.costs);
+    cpu::System &sys = *out.system;
+    const sim::FaultPlan &fault = sys.params().fault;
+    Runtime &runtime = *out.runtime;
+    RunResult &res = out.result;
+    res.runtime = runtime.name();
+    res.program = prog.name;
+    if (ctl.cancelRequested()) {
+        // Between-runs cancellation boundary: report the run cancelled
+        // without simulating anything.
+        res.status = RunStatus::Cancelled;
+        return out;
+    }
+
+    if (trace != nullptr) {
+        trace->reset(prog.numTasks());
+        if (auto *ph = dynamic_cast<Phentos *>(&runtime))
+            ph->setTrace(trace);
+        else if (auto *nn = dynamic_cast<Nanos *>(&runtime))
+            nn->setTrace(trace);
+    }
+
+    runtime.install(sys, prog);
+    armControls(sys, ctl, fault);
     const auto cpState = armCheckpoints(sys, ctl);
 
     const bool ok = sys.run(params.cycleLimit);
 
-    RunResult res;
-    res.runtime = runtime->name();
-    res.program = prog.name;
-    res.completed = ok && runtime->finished();
-    res.status = finishStatus(sys, ctl, res.completed, params.fault);
+    res.completed = ok && runtime.finished();
+    res.status = finishStatus(sys, ctl, res.completed, fault);
     res.cycles = sys.clock().now();
     res.serialPayload = prog.serialPayloadCycles();
     res.tasks = prog.numTasks();
@@ -251,8 +271,8 @@ runProgram(RuntimeKind kind, const Program &prog,
     res.evaluatedCycles = sys.simulator().evaluatedCycles();
     res.componentTicks = sys.simulator().componentTicks();
     res.tickWorldTicks = sys.simulator().tickWorldTicks();
-    res.workerSubmits = runtime->tasksSubmittedByWorkers();
-    res.inlineTasks = runtime->tasksExecutedInline();
+    res.workerSubmits = runtime.tasksSubmittedByWorkers();
+    res.inlineTasks = runtime.tasksExecutedInline();
     fillContentionStats(res, sys);
     if (ctl.resumeFrom != nullptr)
         res.resumedFromCycle = ctl.resumeFrom->cycle;
@@ -266,10 +286,17 @@ runProgram(RuntimeKind kind, const Program &prog,
         // an exhausted cycle budget signals a genuinely stuck program.
         PSIM_WARN(sys.clock(), "harness",
                   res.runtime << " did not complete " << prog.name << " ("
-                              << runtime->tasksExecuted() << "/"
+                              << runtime.tasksExecuted() << "/"
                               << prog.numTasks() << " tasks)");
     }
-    return res;
+    return out;
+}
+
+RunResult
+runProgram(RuntimeKind kind, const Program &prog,
+           const HarnessParams &params)
+{
+    return std::move(runInspected(kind, prog, params).result);
 }
 
 RunResult
@@ -296,163 +323,6 @@ runWithSpeedup(RuntimeKind kind, const Program &prog,
     RunResult res = runProgram(kind, prog, params);
     res.serialCycles = serial.cycles;
     return res;
-}
-
-std::vector<RunResult>
-runBatch(const std::vector<Job> &jobs, const BatchOptions &opts)
-{
-    std::vector<RunResult> results(jobs.size());
-    if (jobs.empty())
-        return results;
-
-    unsigned threads = opts.threads;
-    if (threads == 0)
-        threads = std::max(1u, std::thread::hardware_concurrency());
-    threads = std::min<unsigned>(threads,
-                                 static_cast<unsigned>(jobs.size()));
-
-    // The in-flight gate bounds how many Systems exist at once; jobs a
-    // worker picks up while the gate is full wait before simulating, so
-    // the result order and contents stay identical.
-    std::optional<std::counting_semaphore<>> gate;
-    if (opts.maxInFlight > 0 && opts.maxInFlight < threads)
-        gate.emplace(static_cast<std::ptrdiff_t>(opts.maxInFlight));
-
-    std::atomic<std::size_t> nextJob{0};
-    std::mutex mtx; // guards firstError + onStart/onResult invocations
-    std::exception_ptr firstError;
-
-    const auto worker = [&] {
-        while (true) {
-            const std::size_t i =
-                nextJob.fetch_add(1, std::memory_order_relaxed);
-            if (i >= jobs.size())
-                return;
-
-            HarnessParams params = jobs[i].params;
-            if (opts.cancel && !params.controls.groupCancel)
-                params.controls.groupCancel = opts.cancel;
-            if (opts.timeoutSec > 0.0 && params.controls.timeoutSec <= 0.0)
-                params.controls.timeoutSec = opts.timeoutSec;
-
-            RunResult res;
-            bool recorded = true;
-            if (params.controls.cancelRequested()) {
-                // Cancelled before dispatch: drain the index space so
-                // every job gets an explicit per-position result.
-                res.runtime = std::string(kindName(jobs[i].kind));
-                res.program = jobs[i].prog.name;
-                res.status = RunStatus::Cancelled;
-            } else {
-                if (gate)
-                    gate->acquire();
-                if (opts.onStart) {
-                    const std::lock_guard<std::mutex> lock(mtx);
-                    opts.onStart(i);
-                }
-                try {
-                    res = runProgram(jobs[i].kind, jobs[i].prog, params);
-                } catch (const std::exception &e) {
-                    if (opts.captureErrors) {
-                        res = RunResult{};
-                        res.runtime = std::string(kindName(jobs[i].kind));
-                        res.program = jobs[i].prog.name;
-                        res.status = RunStatus::Error;
-                        res.error = e.what();
-                    } else {
-                        recorded = false;
-                        const std::lock_guard<std::mutex> lock(mtx);
-                        if (!firstError)
-                            firstError = std::current_exception();
-                    }
-                } catch (...) {
-                    if (opts.captureErrors) {
-                        res = RunResult{};
-                        res.runtime = std::string(kindName(jobs[i].kind));
-                        res.program = jobs[i].prog.name;
-                        res.status = RunStatus::Error;
-                        res.error = "unknown worker exception";
-                    } else {
-                        recorded = false;
-                        const std::lock_guard<std::mutex> lock(mtx);
-                        if (!firstError)
-                            firstError = std::current_exception();
-                    }
-                }
-                if (gate)
-                    gate->release();
-            }
-            if (!recorded)
-                continue;
-            if (opts.onResult) {
-                const std::lock_guard<std::mutex> lock(mtx);
-                opts.onResult(i, res);
-            }
-            results[i] = std::move(res);
-        }
-    };
-
-    if (threads == 1) {
-        worker(); // degenerate pool: run inline, no thread overhead
-    } else {
-        std::vector<std::thread> pool;
-        pool.reserve(threads);
-        for (unsigned t = 0; t < threads; ++t)
-            pool.emplace_back(worker);
-        for (std::thread &t : pool)
-            t.join();
-    }
-
-    if (firstError)
-        std::rethrow_exception(firstError);
-    return results;
-}
-
-std::vector<RunResult>
-runBatch(const std::vector<Job> &jobs, unsigned threads,
-         const std::function<void(std::size_t, const RunResult &)>
-             &onResult)
-{
-    BatchOptions opts;
-    opts.threads = threads;
-    opts.onResult = onResult;
-    opts.captureErrors = false; // legacy contract: rethrow after join
-    return runBatch(jobs, opts);
-}
-
-std::vector<std::vector<RunResult>>
-runMatrix(const std::vector<Program> &progs,
-          const std::vector<RuntimeKind> &kinds,
-          const HarnessParams &params, unsigned threads,
-          const std::function<void(std::size_t, std::size_t,
-                                   const RunResult &)> &onResult)
-{
-    std::vector<Job> jobs;
-    jobs.reserve(progs.size() * kinds.size());
-    for (const Program &prog : progs) {
-        for (const RuntimeKind kind : kinds) {
-            Job job;
-            job.kind = kind;
-            job.prog = prog;
-            job.params = params;
-            jobs.push_back(std::move(job));
-        }
-    }
-
-    const auto onJob =
-        !onResult ? std::function<void(std::size_t, const RunResult &)>{}
-                  : [&](std::size_t i, const RunResult &res) {
-                        onResult(i / kinds.size(), i % kinds.size(), res);
-                    };
-    std::vector<RunResult> flat = runBatch(jobs, threads, onJob);
-
-    std::vector<std::vector<RunResult>> results(progs.size());
-    for (std::size_t p = 0; p < progs.size(); ++p) {
-        results[p].assign(
-            std::make_move_iterator(flat.begin() + p * kinds.size()),
-            std::make_move_iterator(flat.begin() + (p + 1) * kinds.size()));
-    }
-    return results;
 }
 
 } // namespace picosim::rt

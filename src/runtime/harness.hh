@@ -1,8 +1,9 @@
 /**
  * @file
  * Experiment harness: build a fresh system, install a runtime, run a
- * program, collect results — one call per experiment, or a whole batch of
- * independent experiments spread over a worker-thread pool.
+ * program, collect results — one call per experiment. This is the only
+ * place that assembles a run; the spec layer and the job service call
+ * into it, and parallel execution is svc::JobManager's worker pool.
  */
 
 #ifndef PICOSIM_RUNTIME_HARNESS_HH
@@ -11,18 +12,19 @@
 #include <chrono>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <string_view>
-#include <vector>
 
 #include "cpu/system.hh"
 #include "runtime/cancel.hh"
 #include "runtime/cost_model.hh"
 #include "runtime/runtime.hh"
 #include "sim/checkpoint.hh"
-#include "sim/fault.hh"
 
 namespace picosim::rt
 {
+
+class TaskTrace;
 
 enum class RuntimeKind { Serial, NanosSW, NanosRV, NanosAXI, Phentos };
 
@@ -40,11 +42,9 @@ std::unique_ptr<Runtime> makeRuntime(RuntimeKind kind, const CostModel &cm);
  */
 struct RunControls
 {
-    const CancelToken *cancel = nullptr;      ///< per-job token
-    const CancelToken *groupCancel = nullptr; ///< batch/manager-wide token
-    double timeoutSec = 0.0; ///< >0: wall-clock budget from run start
-    std::chrono::steady_clock::time_point deadline{}; ///< absolute cutoff
-    bool hasDeadline = false; ///< deadline field is armed
+    const CancelToken *cancel = nullptr; ///< per-job token
+    /** Absolute wall-clock cutoff; unset = no time limit. */
+    std::optional<std::chrono::steady_clock::time_point> deadline;
 
     // -- Checkpoint/resume (deterministic fast-forward replay) ----------
 
@@ -77,158 +77,64 @@ struct RunControls
     bool
     cancelRequested() const
     {
-        return (cancel && cancel->cancelled()) ||
-               (groupCancel && groupCancel->cancelled());
+        return cancel && cancel->cancelled();
     }
 };
 
+/**
+ * Everything one run needs besides its runtime kind and program. The
+ * core count and the fault plan live in `system` only: KillShard and
+ * StallLink ride SystemParams into the model, and DropJob is handled
+ * by the harness as a stop-check that ends the run with
+ * RunStatus::Dropped at the first boundary at or past the fault cycle.
+ */
 struct HarnessParams
 {
-    unsigned numCores = 8;
     CostModel costs{};
     cpu::SystemParams system{};
     Cycle cycleLimit = 50'000'000'000ull;
     RunControls controls{};
+};
 
-    /** Fault to inject (sim::FaultKind::None = no fault). KillShard and
-     *  StallLink ride SystemParams into the model; DropJob is handled
-     *  here in the harness as a stop-check that ends the run with
-     *  RunStatus::Dropped at the first boundary at or past the fault
-     *  cycle. */
-    sim::FaultPlan fault{};
+/** A finished run whose System (and runtime model) stay inspectable.
+ *  `system` and `runtime` are never null. */
+struct InspectedRun
+{
+    RunResult result;
+    std::unique_ptr<cpu::System> system;
+    std::unique_ptr<Runtime> runtime;
 };
 
 /**
- * Run @p prog under @p kind on a fresh system. Serial runs are forced to
- * one core. The serialCycles field is left zero; use measureSpeedup or
- * fill it from a separate Serial run.
+ * A fresh System laid out for a run of @p kind under @p params. A
+ * serial runtime is folded to one core with the topology and fault
+ * reset: the baseline never touches the scheduler, a clustered
+ * topology cannot be laid out over its single core, and a shard/link
+ * fault has no meaning without one.
  */
+std::unique_ptr<cpu::System> makeSystem(RuntimeKind kind,
+                                        const HarnessParams &params);
+
+/**
+ * Run @p prog under @p kind on a fresh system (see makeSystem) and keep
+ * the System alive for inspection (statistics dumps, task traces).
+ * @p trace, when given, is armed on runtimes that support task tracing
+ * (Phentos, Nanos). A run whose cancellation was requested before it
+ * started is reported as RunStatus::Cancelled without simulating. The
+ * serialCycles field is left zero; use runWithSpeedup or fill it from a
+ * separate Serial run.
+ */
+InspectedRun runInspected(RuntimeKind kind, const Program &prog,
+                          const HarnessParams &params = {},
+                          TaskTrace *trace = nullptr);
+
+/** runInspected without keeping the System. */
 RunResult runProgram(RuntimeKind kind, const Program &prog,
                      const HarnessParams &params = {});
-
-/** Copy the interconnect/memory contention counters of a finished run
- *  (timed memory mode; zeros under MemMode::Inline) into @p res. */
-void fillContentionStats(RunResult &res, cpu::System &sys);
-
-/**
- * Arm @p sys's cooperative stop check from @p ctl: cancellation plus
- * the tighter of ctl.deadline and a timeoutSec budget counted from the
- * moment of this call, plus the drop-job fault (stops the run with the
- * Dropped status once the simulated clock reaches the fault cycle).
- * No-op when neither carries a stop condition.
- */
-void armControls(cpu::System &sys, const RunControls &ctl,
-                 const sim::FaultPlan &fault = {});
-
-/** How a finished run of @p sys ended under @p ctl. */
-RunStatus finishStatus(cpu::System &sys, const RunControls &ctl,
-                       bool completed,
-                       const sim::FaultPlan &fault = {});
-
-/**
- * Shared outcome of the checkpoint machinery for one run, written from
- * the simulation thread by the hook armCheckpoints installs and read
- * by the harness epilogue (and by Engine::runInspected).
- */
-struct CheckpointOutcome
-{
-    std::uint64_t taken = 0;   ///< checkpoints fired this run
-    bool verified = false;     ///< resume digest was checked and matched
-    bool mismatch = false;     ///< resume digest differed, or hook threw
-    std::string message;       ///< human-readable mismatch description
-};
-
-/**
- * Install the checkpoint hook on @p sys from @p ctl: periodic
- * checkpoints every ctl.checkpointEvery cycles and/or resume
- * verification against ctl.resumeFrom (when resuming without periodic
- * checkpoints, the stride is armed at exactly the resume cycle so the
- * replay re-crosses the recorded boundary — see DESIGN.md for why that
- * reproduces the original label). Returns the shared outcome record;
- * never null. No-op (hookless) when neither field is set.
- */
-std::shared_ptr<CheckpointOutcome>
-armCheckpoints(cpu::System &sys, const RunControls &ctl);
 
 /** Run serial + the given runtime and fill in the speedup baseline. */
 RunResult runWithSpeedup(RuntimeKind kind, const Program &prog,
                          const HarnessParams &params = {});
-
-// -- Parallel batch execution -------------------------------------------
-
-/**
- * One independent experiment in a batch. The job owns its Program copy:
- * each job is simulated on a private System by exactly one worker thread,
- * so jobs share no mutable state (Program caches an index lazily, which
- * would race if instances were shared across workers).
- */
-struct Job
-{
-    RuntimeKind kind = RuntimeKind::Phentos;
-    Program prog;
-    HarnessParams params{};
-    std::string label; ///< optional caller tag, carried through unchanged
-};
-
-/**
- * Knobs for one runBatch() call. The defaults reproduce the legacy
- * behaviour: run everything, capture nothing, no limits.
- */
-struct BatchOptions
-{
-    unsigned threads = 0;     ///< worker threads (0 = hardware concurrency)
-    unsigned maxInFlight = 0; ///< >0: cap on concurrently simulated jobs
-    const CancelToken *cancel = nullptr; ///< batch-wide cancellation
-    double timeoutSec = 0.0; ///< >0: per-job wall-clock budget
-
-    /** Invoked from the worker right before it simulates job @p i. */
-    std::function<void(std::size_t)> onStart;
-
-    /** Invoked once per finished job under an internal mutex. */
-    std::function<void(std::size_t, const RunResult &)> onResult;
-
-    /**
-     * true: a worker-thread exception becomes an explicit per-job
-     * RunStatus::Error result (message in RunResult::error) and the rest
-     * of the batch keeps running. false: legacy semantics — the first
-     * exception is rethrown from runBatch() after all workers join.
-     */
-    bool captureErrors = true;
-};
-
-/**
- * Run every job on a pool of worker threads. Results are positionally
- * aligned with @p jobs. Each job builds a fresh Simulator/System, so
- * results are identical to running the same jobs sequentially through
- * runProgram(), in any thread count — and a job cancelled or timing out
- * never perturbs the other jobs' results. Jobs whose cancellation was
- * already requested when a worker reached them are reported as
- * RunStatus::Cancelled without building a System.
- */
-std::vector<RunResult> runBatch(const std::vector<Job> &jobs,
-                                const BatchOptions &opts);
-
-/**
- * Legacy convenience overload: @p threads workers, optional progress
- * callback, worker exceptions rethrown after the pool joins.
- */
-std::vector<RunResult>
-runBatch(const std::vector<Job> &jobs, unsigned threads = 0,
-         const std::function<void(std::size_t, const RunResult &)>
-             &onResult = nullptr);
-
-/**
- * Run the full @p progs x @p kinds evaluation matrix as one batch.
- * results[p][k] is program p under kind k — callers index results by
- * position in the kinds vector they passed, so there is no hidden
- * column-order contract to keep in sync.
- */
-std::vector<std::vector<RunResult>>
-runMatrix(const std::vector<Program> &progs,
-          const std::vector<RuntimeKind> &kinds,
-          const HarnessParams &params = {}, unsigned threads = 0,
-          const std::function<void(std::size_t, std::size_t,
-                                   const RunResult &)> &onResult = nullptr);
 
 } // namespace picosim::rt
 

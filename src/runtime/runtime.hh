@@ -29,7 +29,7 @@ namespace picosim::rt
  * runtime code needs no explicit wake requests of its own — the delegate
  * transactions it issues carry the wake semantics into the hardware
  * layers. Runtime instances are single-run and must not be shared across
- * concurrently simulated systems (runBatch builds one per job).
+ * concurrently simulated systems (rt::runInspected builds one per run).
  */
 class Runtime
 {

@@ -119,8 +119,8 @@ struct JobManager::Rec
     bool cancelRequested = false;
     double timeoutSec = 0.0;        ///< resolved (spec or manager default)
     unsigned maxInFlight = 0;       ///< resolved
-    bool deadlineArmed = false;
-    SteadyClock::time_point deadline{};
+    /** Armed when the first run is dispatched. */
+    std::optional<SteadyClock::time_point> deadline;
     std::uint64_t startSeq = 0;
     std::string error;
 
@@ -507,7 +507,6 @@ JobManager::workerLoop()
                     SteadyClock::now() +
                     std::chrono::duration_cast<SteadyClock::duration>(
                         std::chrono::duration<double>(rec->timeoutSec));
-                rec->deadlineArmed = true;
             }
         }
         if (rec->nextRun >= rec->spec.runs.size())
@@ -522,7 +521,6 @@ JobManager::workerLoop()
         rt::RunControls ctl;
         ctl.cancel = &rec->token;
         ctl.deadline = rec->deadline;
-        ctl.hasDeadline = rec->deadlineArmed;
 
         // Checkpoint plumbing. lastCp tracks the newest cut on this
         // worker's stack (for the drop-job retry below); a journaled
@@ -745,7 +743,7 @@ JobManager::recover(const std::string &dir)
         rec->state = JobState::Queued;
         rec->nextRun = 0; // pickRun skips the recovered rows
         rec->inFlight = 0;
-        rec->deadlineArmed = false; // the wall-clock budget restarts
+        rec->deadline.reset(); // the wall-clock budget restarts
         rec->startSeq = 0;
         if (!queue_.push(id)) {
             std::cerr << "picosim journal: recovered job " << id

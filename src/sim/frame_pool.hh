@@ -5,7 +5,7 @@
  * Every simulated task body, runtime routine and nested CoTask call
  * allocates a coroutine frame; under the general-purpose allocator that
  * malloc/free churn is both a single-run cost and — because the heap is
- * the ONE resource all runBatch worker threads share — the dominant
+ * the ONE resource all JobManager worker threads share — the dominant
  * cross-thread serialization point of parallel sweeps. Frames are
  * perfectly recyclable: a handful of distinct sizes, allocated and freed
  * in enormous numbers, never crossing threads (each batch job simulates

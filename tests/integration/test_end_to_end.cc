@@ -32,7 +32,7 @@ TEST(EndToEnd, DeadlockScenario1SingleThreadSubmitsAndRuns)
     // reservation station is tiny: blocking submission would deadlock,
     // the non-blocking ISA must survive (Section IV-C, scenario 1).
     HarnessParams hp = quick();
-    hp.numCores = 1;
+    hp.system.numCores = 1;
     hp.system.picos.trsEntries = 4;
     const Program prog = apps::taskChain(64, 1, 100);
     for (auto kind : {RuntimeKind::Phentos, RuntimeKind::NanosRV}) {
@@ -99,7 +99,7 @@ TEST(EndToEnd, OverheadOrderingMatchesFigure7)
 {
     // Lifetime overhead: Phentos << Nanos-RV < Nanos-AXI < Nanos-SW.
     HarnessParams hp = quick();
-    hp.numCores = 1;
+    hp.system.numCores = 1;
     const Program prog = apps::taskFree(96, 1, 10);
     double lo[4];
     const RuntimeKind kinds[] = {RuntimeKind::Phentos, RuntimeKind::NanosRV,
@@ -165,7 +165,7 @@ class EndToEndCoreSweep : public ::testing::TestWithParam<unsigned>
 TEST_P(EndToEndCoreSweep, SpeedupBoundedByCores)
 {
     HarnessParams hp = quick();
-    hp.numCores = GetParam();
+    hp.system.numCores = GetParam();
     const Program prog = apps::taskFree(48, 1, 200'000);
     const auto r = runWithSpeedup(RuntimeKind::Phentos, prog, hp);
     ASSERT_TRUE(r.completed);

@@ -55,7 +55,7 @@ runTraced(const Program &prog, const HarnessParams &hp, TaskTrace &trace,
           std::uint64_t *cross_shard_edges = nullptr)
 {
     cpu::SystemParams sp = hp.system;
-    sp.numCores = hp.numCores;
+    sp.numCores = hp.system.numCores;
     cpu::System sys(sp);
     Phentos runtime;
     trace.reset(prog.numTasks());
@@ -212,7 +212,7 @@ TEST(WorkStealing, SameConfigurationIsDeterministic)
 {
     const Program prog = apps::blackscholes(2048, 16);
     HarnessParams hp = shardedParams(4, 4);
-    hp.numCores = 16;
+    hp.system.numCores = 16;
     const RunResult a = runProgram(RuntimeKind::Phentos, prog, hp);
     const RunResult b = runProgram(RuntimeKind::Phentos, prog, hp);
     ASSERT_TRUE(a.completed);
@@ -227,7 +227,7 @@ TEST(WorkStealing, DisabledStillCompletes)
 {
     const Program prog = apps::blackscholes(2048, 16);
     HarnessParams hp = shardedParams(4, 4, /*steal=*/false);
-    hp.numCores = 16;
+    hp.system.numCores = 16;
     const RunResult r = runProgram(RuntimeKind::Phentos, prog, hp);
     ASSERT_TRUE(r.completed);
     EXPECT_EQ(r.workSteals, 0u);
@@ -239,7 +239,7 @@ TEST(ShardedKernel, EventDrivenMatchesTickWorld)
     for (const auto &topo :
          std::vector<std::pair<unsigned, unsigned>>{{2, 2}, {4, 4}}) {
         HarnessParams hp = shardedParams(topo.first, topo.second);
-        hp.numCores = 8;
+        hp.system.numCores = 8;
         hp.system.evalMode = sim::EvalMode::EventDriven;
         const RunResult ev = runProgram(RuntimeKind::Phentos, prog, hp);
         hp.system.evalMode = sim::EvalMode::TickWorld;
@@ -288,7 +288,7 @@ TEST(Topology, NonDivisibleClusterCountRunsEndToEnd)
          std::vector<std::pair<unsigned, unsigned>>{
              {6, 4}, {10, 4}, {7, 3}}) {
         HarnessParams hp = shardedParams(2, clusters);
-        hp.numCores = cores;
+        hp.system.numCores = cores;
         const Program prog = apps::taskFree(64, 1, 500);
         const RunResult r = runProgram(RuntimeKind::Phentos, prog, hp);
         EXPECT_TRUE(r.completed) << cores << " cores / " << clusters

@@ -45,17 +45,6 @@ TEST(RunControls, NoControlsMeansNoRequest)
     EXPECT_FALSE(ctl.cancelRequested());
 }
 
-TEST(RunControls, EitherTokenRequestsCancellation)
-{
-    CancelToken job, group;
-    RunControls ctl;
-    ctl.cancel = &job;
-    ctl.groupCancel = &group;
-    EXPECT_FALSE(ctl.cancelRequested());
-    group.cancel();
-    EXPECT_TRUE(ctl.cancelRequested());
-}
-
 TEST(Cancel, PreCancelledRunNeverStarts)
 {
     CancelToken token;
@@ -98,7 +87,7 @@ TEST(Cancel, MidRunCancelStopsEarly)
 TEST(Cancel, TinyTimeoutTimesOut)
 {
     HarnessParams params;
-    params.controls.timeoutSec = 1e-9;
+    params.controls.deadline = std::chrono::steady_clock::now();
     const RunResult res =
         runProgram(RuntimeKind::Phentos, longProgram(), params);
     EXPECT_EQ(res.status, RunStatus::TimedOut);
@@ -110,7 +99,6 @@ TEST(Cancel, PastDeadlineTimesOut)
     HarnessParams params;
     params.controls.deadline = std::chrono::steady_clock::now() -
                                std::chrono::seconds(1);
-    params.controls.hasDeadline = true;
     const RunResult res =
         runProgram(RuntimeKind::Phentos, longProgram(), params);
     EXPECT_EQ(res.status, RunStatus::TimedOut);
@@ -123,10 +111,8 @@ TEST(Cancel, CancellationWinsOverDeadline)
     token.cancel();
     HarnessParams params;
     params.controls.cancel = &token;
-    params.controls.timeoutSec = 1e-9;
     params.controls.deadline = std::chrono::steady_clock::now() -
                                std::chrono::seconds(1);
-    params.controls.hasDeadline = true;
     const RunResult res =
         runProgram(RuntimeKind::Phentos, longProgram(), params);
     EXPECT_EQ(res.status, RunStatus::Cancelled);
@@ -142,7 +128,8 @@ TEST(Cancel, ArmedButIdleControlsDoNotPerturbTheRun)
     CancelToken token; // never cancelled
     HarnessParams params;
     params.controls.cancel = &token;
-    params.controls.timeoutSec = 3600.0;
+    params.controls.deadline =
+        std::chrono::steady_clock::now() + std::chrono::hours(1);
     const RunResult armed = runProgram(RuntimeKind::Phentos, prog, params);
 
     EXPECT_EQ(armed.status, RunStatus::Ok);

@@ -23,7 +23,7 @@ HarnessParams
 withTopology(unsigned cores, unsigned shards, unsigned clusters)
 {
     HarnessParams hp;
-    hp.numCores = cores;
+    hp.system.numCores = cores;
     hp.system.topology.schedShards = shards;
     hp.system.topology.clusters = clusters;
     return hp;
@@ -35,7 +35,7 @@ runTraced(RuntimeKind kind, const Program &prog, const HarnessParams &hp,
           TaskTrace &trace)
 {
     cpu::SystemParams sp = hp.system;
-    sp.numCores = hp.numCores;
+    sp.numCores = hp.system.numCores;
     cpu::System sys(sp);
     std::unique_ptr<Runtime> runtime = makeRuntime(kind, hp.costs);
     trace.reset(prog.numTasks());

@@ -127,7 +127,7 @@ TEST_P(OverheadMonotonicity, MoreDepsNeverCheaperForNanosSW)
     // steep Task-Free row).
     const unsigned deps = GetParam();
     HarnessParams hp;
-    hp.numCores = 1;
+    hp.system.numCores = 1;
     const auto lo = [&](unsigned d) {
         const Program prog = apps::taskFree(48, d, 10);
         const auto r = runProgram(RuntimeKind::NanosSW, prog, hp);

@@ -19,7 +19,7 @@ RunResult
 run(RuntimeKind kind, const Program &prog, unsigned cores = 8)
 {
     HarnessParams hp;
-    hp.numCores = cores;
+    hp.system.numCores = cores;
     hp.cycleLimit = 2'000'000'000ull;
     return runProgram(kind, prog, hp);
 }

@@ -1,8 +1,9 @@
 /** @file Unit tests for the svc::JobManager state machine: admission
  *  and queue ordering, cancel-while-queued vs cancel-while-running,
- *  timeout firing, and the determinism contract — cancelling one job
- *  mid-batch leaves a concurrently running job's results and stat
- *  dumps bit-identical to running it alone. */
+ *  timeout firing, and the determinism contract — rows do not depend on
+ *  the pool's shape, and cancelling one job mid-batch leaves a
+ *  concurrently running job's results and stat dumps bit-identical to
+ *  running it alone. */
 
 #include <gtest/gtest.h>
 
@@ -12,6 +13,7 @@
 #include <vector>
 
 #include "service/job_manager.hh"
+#include "service/wire.hh"
 #include "spec/engine.hh"
 #include "spec/run_spec.hh"
 
@@ -318,4 +320,78 @@ TEST(JobManager, CancellingOneJobLeavesNeighboursBitIdentical)
     EXPECT_EQ(beside.result.componentTicks, solo.result.componentTicks);
     EXPECT_EQ(beside.statDump, solo.statDump)
         << "a cancelled neighbour perturbed a concurrent run's stats";
+}
+
+TEST(JobManager, PoolShapeDoesNotChangeRows)
+{
+    // Every run simulates a private System, so neither the worker count
+    // nor the per-job in-flight cap may change a row — duplicate specs
+    // included (each run builds its own Program).
+    std::vector<spec::RunSpec> runs;
+    for (const char *workload : {"task-free", "task-chain"}) {
+        spec::RunSpec s;
+        s.workload = workload;
+        s.wl = {{"tasks", 64}, {"deps", 1}, {"payload", 500}};
+        runs.push_back(s);
+    }
+    spec::RunSpec bs;
+    bs.workload = "blackscholes";
+    bs.wl = {{"options", 512}, {"block", 32}};
+    runs.push_back(bs);
+    std::vector<spec::RunSpec> matrix;
+    for (spec::RunSpec s : runs) {
+        for (const rt::RuntimeKind kind :
+             {rt::RuntimeKind::Serial, rt::RuntimeKind::NanosRV,
+              rt::RuntimeKind::Phentos}) {
+            s.runtime = kind;
+            s.canonicalize();
+            matrix.push_back(s);
+        }
+    }
+    matrix.push_back(matrix.back()); // duplicates of one spec
+    matrix.push_back(matrix.back());
+
+    const auto rowsOf = [&](unsigned workers, unsigned maxInFlight) {
+        JobManager::Params p;
+        p.workers = workers;
+        p.maxInFlightPerJob = maxInFlight;
+        JobManager mgr(p);
+        JobSpec js;
+        js.runs = matrix;
+        const std::uint64_t id = mgr.submit(std::move(js));
+        EXPECT_EQ(mgr.wait(id).state, JobState::Done);
+        std::vector<std::string> rows;
+        for (const RunRow &row : mgr.runRows(id))
+            rows.push_back(wire::runResultJson(row.result));
+        return rows;
+    };
+    const std::vector<std::string> one = rowsOf(1, 0);
+    ASSERT_EQ(one.size(), matrix.size());
+    for (std::size_t i = 0; i < matrix.size(); ++i) {
+        EXPECT_EQ(one[i], wire::runResultJson(spec::Engine::run(matrix[i])))
+            << i;
+    }
+    EXPECT_EQ(rowsOf(4, 0), one);
+    EXPECT_EQ(rowsOf(4, 1), one);
+}
+
+TEST(JobManager, PerJobTimeoutOnlyStopsThatJob)
+{
+    // A timeout is per job: the long job times out while the short job
+    // beside it completes with its solo cycle count.
+    JobManager::Params p;
+    p.workers = 2;
+    JobManager mgr(p);
+    JobSpec slow = singleRunJob(longSpec());
+    slow.timeoutSec = 0.01;
+    const std::uint64_t slowId = mgr.submit(std::move(slow));
+    const std::uint64_t fastId = mgr.submit(singleRunJob(quickSpec()));
+
+    EXPECT_EQ(mgr.wait(slowId).state, JobState::TimedOut);
+    EXPECT_EQ(mgr.runRows(slowId).at(0).result.status,
+              rt::RunStatus::TimedOut);
+    ASSERT_EQ(mgr.wait(fastId).state, JobState::Done);
+    const rt::RunResult fast = mgr.runRows(fastId).at(0).result;
+    EXPECT_EQ(fast.status, rt::RunStatus::Ok);
+    EXPECT_EQ(fast.cycles, spec::Engine::run(quickSpec()).cycles);
 }

@@ -5,9 +5,6 @@
 
 #include <gtest/gtest.h>
 
-#include <atomic>
-#include <vector>
-
 #include "apps/workloads.hh"
 #include "runtime/harness.hh"
 #include "spec/engine.hh"
@@ -96,107 +93,11 @@ TEST(Engine, SerialRuntimeFoldsToOneCore)
     s.clusters = 4;
 
     // The baseline never touches the scheduler: one core, flat topology.
-    EXPECT_EQ(Engine::systemParams(s).numCores, 1u);
+    EXPECT_EQ(Engine::makeSystem(s)->numCores(), 1u);
 
     RunSpec one = smallSpec();
     one.runtime = rt::RuntimeKind::Serial;
     EXPECT_EQ(Engine::run(s).cycles, Engine::run(one).cycles);
-}
-
-TEST(Engine, RunWithSpeedupFillsSerialBaseline)
-{
-    RunSpec s = smallSpec();
-    const rt::RunResult r = Engine::runWithSpeedup(s);
-    EXPECT_TRUE(r.completed);
-    ASSERT_GT(r.serialCycles, 0u);
-
-    RunSpec serial = s;
-    serial.runtime = rt::RuntimeKind::Serial;
-    EXPECT_EQ(r.serialCycles, Engine::run(serial).cycles);
-    EXPECT_EQ(r.cycles, Engine::run(s).cycles);
-}
-
-TEST(Engine, RunBatchMatchesSequentialRuns)
-{
-    std::vector<RunSpec> specs;
-    for (unsigned cores : {2u, 4u, 8u}) {
-        RunSpec s = smallSpec();
-        s.cores = cores;
-        specs.push_back(s);
-    }
-    std::atomic<unsigned> callbacks{0};
-    const std::vector<rt::RunResult> batch = Engine::runBatch(
-        specs, 2,
-        [&](std::size_t, const rt::RunResult &) { ++callbacks; });
-    ASSERT_EQ(batch.size(), specs.size());
-    EXPECT_EQ(callbacks.load(), specs.size());
-    for (std::size_t i = 0; i < specs.size(); ++i) {
-        const rt::RunResult solo = Engine::run(specs[i]);
-        EXPECT_TRUE(batch[i].completed) << i;
-        EXPECT_EQ(batch[i].cycles, solo.cycles) << i;
-        EXPECT_EQ(batch[i].tasks, solo.tasks) << i;
-    }
-}
-
-TEST(Engine, RunBatchEmptySpecVectorYieldsNoResults)
-{
-    EXPECT_TRUE(Engine::runBatch({}, rt::BatchOptions{}).empty());
-    EXPECT_TRUE(Engine::runBatch({}, 4).empty());
-}
-
-TEST(Engine, RunBatchDuplicateSpecsGetPrivatePrograms)
-{
-    // The same spec three times: every instance must run on a private
-    // Program/System and report the identical solo result (shared
-    // mutable state across workers would race or skew).
-    const RunSpec s = smallSpec();
-    const rt::RunResult solo = Engine::run(s);
-    const std::vector<rt::RunResult> batch =
-        Engine::runBatch({s, s, s}, rt::BatchOptions{});
-    ASSERT_EQ(batch.size(), 3u);
-    for (const rt::RunResult &res : batch) {
-        EXPECT_EQ(res.status, rt::RunStatus::Ok);
-        EXPECT_EQ(res.cycles, solo.cycles);
-        EXPECT_EQ(res.tasks, solo.tasks);
-    }
-}
-
-TEST(Engine, RunBatchBuildFailureIsAPerJobError)
-{
-    // A spec that fails to build (unknown workload) must surface as an
-    // explicit RunStatus::Error on its own slot — with the registry's
-    // message verbatim — while the surrounding jobs run to completion.
-    RunSpec bad;
-    bad.workload = "no-such-workload";
-    const RunSpec good = smallSpec();
-    const rt::RunResult solo = Engine::run(good);
-
-    std::atomic<unsigned> callbacks{0};
-    rt::BatchOptions opts;
-    opts.threads = 2;
-    opts.onResult = [&](std::size_t, const rt::RunResult &) {
-        ++callbacks;
-    };
-    const std::vector<rt::RunResult> batch =
-        Engine::runBatch({good, bad, good}, opts);
-    ASSERT_EQ(batch.size(), 3u);
-    EXPECT_EQ(callbacks.load(), 3u);
-    EXPECT_EQ(batch[0].status, rt::RunStatus::Ok);
-    EXPECT_EQ(batch[0].cycles, solo.cycles);
-    EXPECT_EQ(batch[2].status, rt::RunStatus::Ok);
-    EXPECT_EQ(batch[2].cycles, solo.cycles);
-
-    EXPECT_EQ(batch[1].status, rt::RunStatus::Error);
-    EXPECT_FALSE(batch[1].completed);
-    EXPECT_NE(batch[1].error.find("no-such-workload"), std::string::npos)
-        << batch[1].error;
-}
-
-TEST(Engine, RunBatchLegacyOverloadRethrowsBuildFailures)
-{
-    RunSpec bad;
-    bad.workload = "no-such-workload";
-    EXPECT_THROW(Engine::runBatch({bad}, 2), std::exception);
 }
 
 TEST(Engine, RunHonoursControls)

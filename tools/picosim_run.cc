@@ -18,7 +18,6 @@
 #include <vector>
 
 #include "apps/workloads.hh"
-#include "runtime/harness.hh"
 #include "runtime/task_trace.hh"
 #include "service/job_manager.hh"
 #include "service/run_plan.hh"
@@ -218,14 +217,17 @@ int
 runInspectable(const spec::RunSpec &sp,
                const std::optional<std::string> &trace_path, bool stats)
 {
+    // The plan decides the baseline: a serial main run is its own.
+    const svc::RunPlan plan = svc::RunPlan::make({sp});
     rt::TaskTrace trace;
     spec::InspectedRun run = spec::Engine::runInspected(
-        sp, trace_path ? &trace : nullptr);
+        plan.runs[0], trace_path ? &trace : nullptr);
 
-    spec::RunSpec serial = sp;
-    serial.runtime = rt::RuntimeKind::Serial;
-    run.result.serialCycles = spec::Engine::run(serial).cycles;
-    svc::printRunResult(run.result, run.system->numCores());
+    std::vector<rt::RunResult> pair{run.result};
+    if (plan.runsPerSpec == 2)
+        pair.push_back(spec::Engine::run(plan.runs[1]));
+    run.result = plan.fold(pair)[0];
+    svc::printRunResult(run.result, plan.printCores);
 
     if (trace_path) {
         std::ofstream out(*trace_path);
@@ -387,8 +389,8 @@ runMain(int argc, char **argv)
         return 0;
     }
 
-    // Introspection keeps the legacy single-run path; everything else
-    // goes through the batch engine (workload + serial baseline each).
+    // Introspection keeps the System alive, so it runs in-process;
+    // everything else is one job (workload + serial baseline each).
     if (trace_path || stats) {
         if (specs.size() > 1) {
             std::fprintf(stderr,
