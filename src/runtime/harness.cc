@@ -7,6 +7,7 @@
 #include "runtime/nanos.hh"
 #include "runtime/phentos.hh"
 #include "runtime/serial.hh"
+#include "runtime/task_trace.hh"
 #include "sim/log.hh"
 
 namespace picosim::rt
@@ -250,10 +251,7 @@ runInspected(RuntimeKind kind, const Program &prog,
 
     if (trace != nullptr) {
         trace->reset(prog.numTasks());
-        if (auto *ph = dynamic_cast<Phentos *>(&runtime))
-            ph->setTrace(trace);
-        else if (auto *nn = dynamic_cast<Nanos *>(&runtime))
-            nn->setTrace(trace);
+        runtime.setTrace(trace);
     }
 
     runtime.install(sys, prog);

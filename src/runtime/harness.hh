@@ -118,8 +118,8 @@ std::unique_ptr<cpu::System> makeSystem(RuntimeKind kind,
 /**
  * Run @p prog under @p kind on a fresh system (see makeSystem) and keep
  * the System alive for inspection (statistics dumps, task traces).
- * @p trace, when given, is armed on runtimes that support task tracing
- * (Phentos, Nanos). A run whose cancellation was requested before it
+ * @p trace, when given, is reset and records every task's lifecycle
+ * (all runtimes trace, the serial baseline included). A run whose cancellation was requested before it
  * started is reported as RunStatus::Cancelled without simulating. The
  * serialCycles field is left zero; use runWithSpeedup or fill it from a
  * separate Serial run.

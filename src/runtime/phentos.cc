@@ -2,50 +2,17 @@
 
 #include <algorithm>
 
-#include "rocc/task_packets.hh"
-#include "runtime/addr_space.hh"
-#include "runtime/task_window.hh"
-#include "sim/log.hh"
-
 namespace picosim::rt
 {
 
 void
-Phentos::install(cpu::System &sys, const Program &prog)
+Phentos::setUp(cpu::System &sys, const Program &prog)
 {
-    sys_ = &sys;
-    prog_ = &prog;
     perCore_.assign(sys.numCores(), PerCore{});
-    submitted_ = 0;
     sharedRetired_ = 0;
-    executed_ = 0;
-    workerSubmitted_ = 0;
-    doneFlag_ = false;
-    masterDone_ = false;
-    nested_ = prog.hasNested();
-    childRetired_.assign(nested_ ? prog.numTasks() : 0, 0);
-    hwInFlight_ = 0;
-    inlineExecuted_ = 0;
-    inFlightLimit_ = 0;
-    const unsigned max_deps = prog.maxDeps();
-    liveWriters_.clear();
-    if (nested_)
-        inFlightLimit_ =
-            taskWindowLimit(sys.params().picos, sys.numCores(), max_deps);
-
-    // When the program's last action already is an explicit taskwait, the
-    // master's final barrier would re-poll for a target the explicit wait
-    // just drained — skip it (it costs an extra flush + poll round).
-    skipFinalBarrier_ = !prog.actions.empty() &&
-                        prog.actions.back().kind == Action::Kind::Taskwait;
-
     // Pre-processor macro in real Phentos: element size of one cache line
     // covers up to 7 dependences, two lines cover up to 15 (Section V-B).
-    elemLines_ = max_deps <= 7 ? 1 : 2;
-
-    sys.installThread(0, master(sys.hartApi(0)));
-    for (CoreId c = 1; c < sys.numCores(); ++c)
-        sys.installThread(c, worker(sys.hartApi(c)));
+    elemLines_ = prog.maxDeps() <= 7 ? 1 : 2;
 }
 
 bool
@@ -74,13 +41,9 @@ Phentos::flushPrivate(cpu::HartApi &api)
     pc.fetchFails = 0;
 }
 
-sim::CoTask<bool>
-Phentos::submitTask(cpu::HartApi &api, const Task &task,
-                    bool allow_throttle)
+sim::CoTask<void>
+Phentos::submitTask(cpu::HartApi &api, const Task &task)
 {
-    if (allow_throttle && hwInFlight_ >= inFlightLimit_)
-        co_return false; // saturated: the caller drains + runs inline
-
     co_await api.delay(cm_.phentosSubmitFixed);
 
     // Fill this task's element of the Task Metadata Array (single writer:
@@ -89,183 +52,71 @@ Phentos::submitTask(cpu::HartApi &api, const Task &task,
     for (unsigned l = 0; l < elemLines_; ++l)
         co_await api.write(meta + l * layout::kLine);
 
-    // Announce the burst; on failure run a ready task instead of blocking
-    // (deadlock scenario 1, Section IV-C).
-    const auto num_deps = static_cast<unsigned>(task.deps.size());
-    const unsigned packets = rocc::nonZeroPackets(num_deps);
-    // GCC 12 note: co_await results are always hoisted into named locals
-    // (never awaited inside a condition) to dodge a coroutine codegen bug.
-    while (true) {
-        const bool announced = co_await api.submissionRequest(packets);
-        if (announced)
-            break;
-        const bool ran = co_await tryExecuteOne(api);
-        if (!ran)
-            co_await api.delay(backoffOf(1));
-    }
-
-    // Stream the descriptor with Submit Three Packets (the non-zero packet
-    // count is always a multiple of three, Section IV-E3).
-    rocc::TaskDescriptor desc;
-    desc.swId = task.id;
-    desc.deps = task.deps;
-    const std::vector<std::uint32_t> pkts = rocc::encodeNonZero(desc);
-    for (std::size_t i = 0; i < pkts.size(); i += 3) {
-        const std::uint64_t rs1 =
-            (static_cast<std::uint64_t>(pkts[i]) << 32) | pkts[i + 1];
-        const std::uint64_t rs2 = pkts[i + 2];
-        unsigned stalls = 0;
-        while (true) {
-            const bool sent = co_await api.submitThreePackets(rs1, rs2);
-            if (sent)
-                break;
-            // Buffer full: the manager drains one packet per cycle, so a
-            // short spin usually suffices. Under persistent backpressure
-            // (scheduler full of unexecuted tasks) run one ready task --
-            // fetch/retire use separate queues, so the burst stays intact
-            // ("perform alternative work actions", Section IV-B).
-            co_await api.delay(cm_.phentosSubmitRetry);
-            if (++stalls >= 16) {
-                stalls = 0;
-                co_await tryExecuteOne(api);
-            }
-        }
-    }
-    ++submitted_;
-    ++hwInFlight_;
-    if (inFlightLimit_ > 0)
-        registerWriters(liveWriters_, task.deps);
-    if (api.coreId() != 0)
-        ++workerSubmitted_;
-    if (trace_)
-        trace_->onSubmit(task.id, sys_->clock().now());
+    co_await submitBurst(api, task, backoffOf(1), cm_.phentosSubmitRetry);
+    noteSubmitted(api, task);
     co_await api.delay(cm_.phentosLoop);
-    co_return true;
 }
 
 sim::CoTask<void>
 Phentos::executeInline(cpu::HartApi &api, const Task &task)
 {
-    // The task never touches the accelerator, but it joins the same
-    // submission/retirement bookkeeping so barriers (children submitted
-    // before the parent's retirement is counted) and scoped waits stay
-    // exact. Dependence safety is the caller's contract: the task's
-    // earlier siblings — the only tasks OmpSs dependences can name —
-    // have already drained. Violations fail loudly.
-    checkInlineSafe(liveWriters_, task.deps);
-    ++submitted_;
-    ++inlineExecuted_;
-    if (api.coreId() != 0)
-        ++workerSubmitted_;
-    if (trace_) {
-        trace_->onSubmit(task.id, sys_->clock().now());
-        trace_->onDispatch(task.id, sys_->clock().now(), api.coreId());
-    }
+    noteInline(api, task);
     co_await api.executePayload(task.payload);
     co_await runBody(api, task);
     if (task.parent != kNoParent) {
         co_await api.atomicRmw(layout::phentosChildCounterAddr(task.parent));
         ++childRetired_[task.parent];
     }
-    if (trace_)
-        trace_->onRetire(task.id, sys_->clock().now());
+    noteRetired(task);
     ++perCore_[api.coreId()].privateRetired;
-    ++executed_;
     co_await api.delay(cm_.phentosLoop);
-}
-
-sim::CoTask<void>
-Phentos::runBody(cpu::HartApi &api, const Task &task)
-{
-    // Replay the task body's nested operations on the executing core:
-    // child submissions go through this core's own delegate port (worker-
-    // side submission), scoped waits spin on the parent's counter line.
-    std::uint64_t spawned = 0;
-    for (const BodyOp &op : prog_->bodyOf(task.id)) {
-        if (op.kind == BodyOp::Kind::SpawnChild) {
-            const Task &child = prog_->taskById(op.child);
-            const bool ok =
-                co_await submitTask(api, child, /*allow_throttle=*/true);
-            if (!ok) {
-                // Task window saturated. Drain this task's own children
-                // (their producers are all submitted siblings, so the
-                // subtree can always make progress), then run the new
-                // child inline — its earlier siblings have now retired,
-                // so its dependences are satisfied without the hardware.
-                co_await taskwaitChildren(api, task.id, spawned);
-                const bool retried =
-                    co_await submitTask(api, child, /*allow_throttle=*/true);
-                if (!retried)
-                    co_await executeInline(api, child);
-            }
-            ++spawned;
-        } else {
-            co_await taskwaitChildren(api, task.id, op.waitTarget);
-        }
-    }
 }
 
 sim::CoTask<bool>
 Phentos::tryExecuteOne(cpu::HartApi &api)
 {
     PerCore &pc = perCore_[api.coreId()];
-
-    if (pc.outstandingReq == 0) {
-        const bool requested = co_await api.readyTaskRequest();
-        if (requested)
-            ++pc.outstandingReq;
-    }
-
-    const auto sw = co_await api.fetchSwId();
-    if (!sw) {
+    const auto ready = co_await fetchReadyRocc(api);
+    if (!ready) {
         ++pc.fetchFails;
         if (pc.fetchFails >= cm_.phentosFlushThreshold)
             co_await flushPrivate(api);
         co_return false;
     }
-    const auto pid = co_await api.fetchPicosId();
-    if (!pid)
-        sim::panic("FetchPicosId failed after successful FetchSwId");
-    if (pc.outstandingReq > 0)
-        --pc.outstandingReq;
 
     // Fetch the task metadata: one or two line transfers (design goal 3).
-    const Addr meta = layout::phentosMetadataAddr(*sw, elemLines_);
+    const Addr meta = layout::phentosMetadataAddr(ready->swId, elemLines_);
     for (unsigned l = 0; l < elemLines_; ++l)
         co_await api.read(meta + l * layout::kLine);
 
-    const Task &task = prog_->taskById(*sw);
-    if (trace_)
-        trace_->onDispatch(task.id, sys_->clock().now(), api.coreId());
+    const Task &task = prog_->taskById(ready->swId);
+    noteDispatch(api, task);
     co_await api.executePayload(task.payload);
     if (nested_)
         co_await runBody(api, task);
-    co_await api.retireTask(*pid);
-    --hwInFlight_;
-    if (inFlightLimit_ > 0)
-        releaseWriters(liveWriters_, task.deps);
+    co_await api.retireTask(ready->picosId);
+    noteHwRetired(task);
     if (nested_ && task.parent != kNoParent) {
         // Parent -> child retire notification: bump the parent's scoped
         // counter line so its taskwaitChildren() can observe the drain.
         co_await api.atomicRmw(layout::phentosChildCounterAddr(task.parent));
         ++childRetired_[task.parent];
     }
-    if (trace_)
-        trace_->onRetire(task.id, sys_->clock().now());
-
+    noteRetired(task);
     ++pc.privateRetired;
-    ++executed_;
     co_await api.delay(cm_.phentosLoop);
     co_return true;
 }
 
 sim::CoTask<void>
-Phentos::taskwait(cpu::HartApi &api, std::uint64_t target)
+Phentos::taskwaitAll(cpu::HartApi &api)
 {
+    // sharedRetired_ == submitted_ also implies every private counter
+    // has been flushed.
     while (true) {
         co_await flushPrivate(api);
         co_await api.read(layout::kPhentosRetireCounter);
-        if (sharedRetired_ >= target)
+        if (sharedRetired_ >= submitted_)
             break;
         const bool ran = co_await tryExecuteOne(api);
         if (!ran) {
@@ -278,26 +129,6 @@ Phentos::taskwait(cpu::HartApi &api, std::uint64_t target)
             // task may appear at any cycle.
             co_await api.delay(cm_.taskwaitPollMax);
         }
-    }
-}
-
-sim::CoTask<void>
-Phentos::taskwaitAll(cpu::HartApi &api)
-{
-    // Nested-program barrier: drain every task submitted so far *and*
-    // their subtrees. The target is re-read each poll because in-flight
-    // parents keep growing submitted_; a child is always submitted before
-    // its parent's retirement is counted, so sharedRetired_ == submitted_
-    // implies the whole subtree has drained (and every private counter
-    // has been flushed).
-    while (true) {
-        co_await flushPrivate(api);
-        co_await api.read(layout::kPhentosRetireCounter);
-        if (sharedRetired_ >= submitted_)
-            break;
-        const bool ran = co_await tryExecuteOne(api);
-        if (!ran)
-            co_await api.delay(cm_.taskwaitPollMax);
     }
 }
 
@@ -321,37 +152,6 @@ Phentos::taskwaitChildren(cpu::HartApi &api, std::uint64_t id,
             co_await api.delay(backoffOf(++idle_polls));
         }
     }
-}
-
-sim::CoTask<void>
-Phentos::master(cpu::HartApi &api)
-{
-    for (const Action &a : prog_->actions) {
-        if (a.kind == Action::Kind::Spawn) {
-            const bool ok =
-                co_await submitTask(api, a.task, /*allow_throttle=*/nested_);
-            if (!ok) {
-                // Saturated: drain everything in flight. The window is
-                // provably empty afterwards (every hardware submission
-                // has retired), so this submission cannot be throttled.
-                co_await taskwaitAll(api);
-                co_await submitTask(api, a.task);
-            }
-        } else if (nested_) {
-            co_await taskwaitAll(api);
-        } else {
-            co_await taskwait(api, submitted_);
-        }
-    }
-    if (!skipFinalBarrier_) {
-        if (nested_)
-            co_await taskwaitAll(api);
-        else
-            co_await taskwait(api, prog_->numTasks());
-    }
-    doneFlag_ = true;
-    co_await api.write(layout::kPhentosDoneFlag);
-    masterDone_ = true;
 }
 
 sim::CoTask<void>

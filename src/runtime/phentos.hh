@@ -19,122 +19,63 @@
 
 #include <vector>
 
-#include "runtime/cost_model.hh"
-#include "runtime/runtime.hh"
-#include "runtime/task_trace.hh"
-#include "runtime/task_window.hh"
+#include "runtime/addr_space.hh"
+#include "runtime/ompss_runtime.hh"
 
 namespace picosim::rt
 {
 
-class Phentos : public Runtime
+class Phentos : public OmpSsRuntime
 {
   public:
-    explicit Phentos(const CostModel &cm = {}) : cm_(cm) {}
+    explicit Phentos(const CostModel &cm = {})
+        : OmpSsRuntime(cm, layout::kPhentosDoneFlag, /*hw_window=*/true)
+    {
+    }
 
     std::string name() const override { return "Phentos"; }
 
-    void install(cpu::System &sys, const Program &prog) override;
-
     bool finished() const override;
-    std::uint64_t tasksExecuted() const override { return executed_; }
-    std::uint64_t tasksSubmittedByWorkers() const override
-    {
-        return workerSubmitted_;
-    }
-    std::uint64_t tasksExecutedInline() const override
-    {
-        return inlineExecuted_;
-    }
 
     /** Metadata element size selected for the current program (lines). */
     unsigned elemLines() const { return elemLines_; }
-
-    /** Attach an optional per-task lifecycle trace (may be nullptr). */
-    void setTrace(TaskTrace *trace) { trace_ = trace; }
 
   private:
     struct PerCore
     {
         std::uint64_t privateRetired = 0; ///< unflushed retirements
         unsigned fetchFails = 0;          ///< fails since last flush
-        unsigned outstandingReq = 0;      ///< un-consumed ready requests
     };
 
-    sim::CoTask<void> master(cpu::HartApi &api);
-    sim::CoTask<void> worker(cpu::HartApi &api);
+    void setUp(cpu::System &sys, const Program &prog) override;
 
-    /**
-     * Submit one task: metadata write + instruction burst. With
-     * @p allow_throttle (nested programs), co_returns false without
-     * submitting when the hardware task window is saturated — the caller
-     * must fall back (drain, then execute inline).
-     */
-    sim::CoTask<bool> submitTask(cpu::HartApi &api, const Task &task,
-                                 bool allow_throttle = false);
+    /** Metadata write + instruction burst. */
+    sim::CoTask<void> submitTask(cpu::HartApi &api,
+                                 const Task &task) override;
 
-    /**
-     * Saturation fallback: execute @p task on this hart without hardware
-     * involvement (its earlier siblings are guaranteed drained, so its
-     * dependences are satisfied). Counts into the same submission/
-     * retirement bookkeeping so barriers and scoped waits stay exact.
-     */
-    sim::CoTask<void> executeInline(cpu::HartApi &api, const Task &task);
+    sim::CoTask<void> executeInline(cpu::HartApi &api,
+                                    const Task &task) override;
 
-    /** Try to fetch and run one ready task. co_returns success. */
-    sim::CoTask<bool> tryExecuteOne(cpu::HartApi &api);
+    sim::CoTask<bool> tryExecuteOne(cpu::HartApi &api) override;
+
+    /** Spin on the retirement counter, flushing this core's private
+     *  count first; polls every taskwaitPollMax cycles. */
+    sim::CoTask<void> taskwaitAll(cpu::HartApi &api) override;
+
+    /** Spin on the parent's counter line with the ramped backoff. */
+    sim::CoTask<void> taskwaitChildren(cpu::HartApi &api, std::uint64_t id,
+                                       std::uint64_t target) override;
+
+    sim::CoTask<void> worker(cpu::HartApi &api) override;
 
     /** Flush this core's private retirement counter if non-zero. */
     sim::CoTask<void> flushPrivate(cpu::HartApi &api);
 
-    /** Spin (with 10..100-cycle backoff) until @p target retirements. */
-    sim::CoTask<void> taskwait(cpu::HartApi &api, std::uint64_t target);
-
-    /** Nested-program barrier: drain everything submitted so far,
-     *  subtrees included (re-reads the growing submission count). */
-    sim::CoTask<void> taskwaitAll(cpu::HartApi &api);
-
-    /** Scoped taskwait: wait until @p target children of @p id retired. */
-    sim::CoTask<void> taskwaitChildren(cpu::HartApi &api, std::uint64_t id,
-                                       std::uint64_t target);
-
-    /** Replay a task body's child spawns and scoped waits (nested). */
-    sim::CoTask<void> runBody(cpu::HartApi &api, const Task &task);
-
     Cycle backoffOf(unsigned fails) const;
 
-    CostModel cm_;
-    cpu::System *sys_ = nullptr;
-    const Program *prog_ = nullptr;
-    TaskTrace *trace_ = nullptr;
     unsigned elemLines_ = 1;
-
     std::vector<PerCore> perCore_;
-    std::uint64_t submitted_ = 0;
     std::uint64_t sharedRetired_ = 0; ///< the single atomic counter
-    std::uint64_t executed_ = 0;
-    std::uint64_t workerSubmitted_ = 0; ///< spawns from non-master harts
-    bool doneFlag_ = false;
-    bool masterDone_ = false;
-
-    // -- Nested tasking (inert for flat programs) --
-    bool nested_ = false;           ///< program spawns child tasks
-    bool skipFinalBarrier_ = false; ///< last action already is a taskwait
-    std::vector<std::uint64_t> childRetired_; ///< per-parent retire counts
-
-    /**
-     * Hardware task-window throttle (nested programs only). A nested
-     * program can wedge the accelerator: every reservation-station entry
-     * held by a *blocked parent* (scoped taskwait) while its children
-     * cannot be submitted leaves nothing ready to execute. Flat programs
-     * are immune — any in-flight task is executable — so the throttle
-     * only guards nested submissions: past the limit the spawner drains
-     * its own children and runs the new child inline instead.
-     */
-    std::uint64_t hwInFlight_ = 0;     ///< submitted to HW, not yet retired
-    std::uint64_t inFlightLimit_ = 0;  ///< 0 = no throttle (flat)
-    std::uint64_t inlineExecuted_ = 0; ///< saturation-fallback executions
-    LiveWriters liveWriters_; ///< guards the inline fallback (throttled runs)
 };
 
 } // namespace picosim::rt

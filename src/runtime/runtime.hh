@@ -18,6 +18,8 @@
 namespace picosim::rt
 {
 
+class TaskTrace;
+
 /**
  * A Task Scheduling runtime. install() arms one coroutine per hart; the
  * harness then drives the system until all harts finish.
@@ -55,6 +57,13 @@ class Runtime
     /** Tasks executed by the saturation fallback (inline, without the
      *  dependence hardware) when a nested program fills the task window. */
     virtual std::uint64_t tasksExecutedInline() const { return 0; }
+
+    /** Record every task's submit/dispatch/retire into @p trace (may be
+     *  nullptr). Set before install(); the caller owns the trace. */
+    void setTrace(TaskTrace *trace) { trace_ = trace; }
+
+  protected:
+    TaskTrace *trace_ = nullptr;
 };
 
 /**

@@ -33,6 +33,7 @@ class Serial : public Runtime
                               const Task &task);
 
     CostModel cm_;
+    const sim::Clock *clock_ = nullptr;
     bool finished_ = false;
     std::uint64_t executed_ = 0;
 };

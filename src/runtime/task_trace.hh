@@ -4,8 +4,8 @@
  * timestamps plus the executing core, for latency breakdowns and
  * chrome://tracing visualization of schedules.
  *
- * Attach a TaskTrace to any runtime via Runtime-specific setTrace();
- * recording is optional and free when disabled.
+ * Attach a TaskTrace to any runtime via Runtime::setTrace() (or pass one
+ * to rt::runInspected); recording is optional and free when disabled.
  */
 
 #ifndef PICOSIM_RUNTIME_TASK_TRACE_HH

@@ -5,6 +5,7 @@
 #include <sstream>
 
 #include "apps/workloads.hh"
+#include "runtime/harness.hh"
 #include "runtime/nanos.hh"
 #include "runtime/phentos.hh"
 #include "runtime/task_trace.hh"
@@ -157,4 +158,26 @@ TEST(TaskTrace, ChainServiceStrictlyOrdered)
         EXPECT_GE(trace.record(i + 1).dispatched, trace.record(i).retired)
             << "task " << i + 1;
     }
+}
+
+TEST(TaskTrace, SerialTracesEveryTaskInProgramOrder)
+{
+    // The serial baseline traces through the same Runtime hook: every
+    // task once, on core 0, each dispatched only after its predecessor
+    // retired.
+    const Program prog = apps::taskFree(12, 1, 300);
+    TaskTrace trace;
+    const InspectedRun run =
+        runInspected(RuntimeKind::Serial, prog, {}, &trace);
+    ASSERT_TRUE(run.result.completed);
+    EXPECT_EQ(trace.completedCount(), prog.numTasks());
+    for (std::uint64_t i = 0; i < prog.numTasks(); ++i) {
+        const TaskRecord &r = trace.record(i);
+        EXPECT_EQ(r.core, 0u) << i;
+        EXPECT_GT(r.dispatched, r.submitted) << i; // the call overhead
+        EXPECT_EQ(r.retired, r.dispatched + 300) << i;
+        if (i > 0)
+            EXPECT_EQ(r.submitted, trace.record(i - 1).retired) << i;
+    }
+    EXPECT_EQ(trace.record(prog.numTasks() - 1).retired, run.result.cycles);
 }
