@@ -20,6 +20,7 @@
 #include "service/job_manager.hh"
 #include "service/run_plan.hh"
 #include "spec/engine.hh"
+#include "spec/json.hh"
 #include "spec/run_spec.hh"
 #include "spec/workload_registry.hh"
 
@@ -46,7 +47,7 @@ class BenchJson
     void
     field(const char *name, const std::string &value)
     {
-        addRaw(name, '"' + escape(value) + '"');
+        addRaw(name, spec::jsonString(value));
     }
 
     void
@@ -97,18 +98,6 @@ class BenchJson
     const std::string &path() const { return path_; }
 
   private:
-    static std::string
-    escape(const std::string &s)
-    {
-        std::string r;
-        for (char c : s) {
-            if (c == '"' || c == '\\')
-                r += '\\';
-            r += c;
-        }
-        return r;
-    }
-
     void
     addRaw(const char *name, const std::string &json)
     {
@@ -143,9 +132,7 @@ stampHost(BenchJson &json, unsigned workerThreads = 1)
 /**
  * Stamp the serialized RunSpec that produced the current row into @p
  * json. The single-line canonical form parses back bit-exactly, so any
- * BENCH_*.json row can be replayed with `picosim_run --spec` (the
- * serialize() output never contains newlines, which BenchJson's escaper
- * does not handle).
+ * BENCH_*.json row can be replayed with `picosim_run --spec`.
  */
 inline void
 stampSpec(BenchJson &json, const spec::RunSpec &spec)

@@ -12,6 +12,7 @@
 #include "runtime/harness.hh"
 #include "service/run_plan.hh"
 #include "service/wire.hh"
+#include "spec/json.hh"
 #include "spec/engine.hh"
 #include "spec/workload_registry.hh"
 
@@ -65,10 +66,10 @@ rowRecord(std::uint64_t id, std::size_t run, const RunRow &row)
     std::string j = jsonHead("row", id);
     jsonNum(j, "run", run);
     jsonKey(j, "result");
-    j += wire::jsonString(wire::runResultJson(row.result));
+    j += spec::jsonString(wire::runResultJson(row.result));
     if (!row.statDump.empty()) {
         jsonKey(j, "dump");
-        j += wire::jsonString(row.statDump);
+        j += spec::jsonString(row.statDump);
     }
     j += '}';
     return j;
@@ -137,7 +138,7 @@ struct JobManager::Rec
     {
         std::string j = jsonHead("submit", id);
         jsonKey(j, "tag");
-        j += wire::jsonString(spec.tag);
+        j += spec::jsonString(spec.tag);
         char t[40];
         std::snprintf(t, sizeof(t), "%.17g", timeoutSec);
         jsonKey(j, "timeout");
@@ -147,7 +148,7 @@ struct JobManager::Rec
         jsonNum(j, "runs", spec.runs.size());
         for (std::size_t i = 0; i < spec.runs.size(); ++i) {
             jsonKey(j, ("run" + std::to_string(i)).c_str());
-            j += wire::jsonString(spec.runs[i].serialize());
+            j += spec::jsonString(spec.runs[i].serialize());
         }
         j += '}';
         return j;
@@ -159,9 +160,9 @@ struct JobManager::Rec
     {
         std::string j = jsonHead("state", id);
         jsonKey(j, "state");
-        j += wire::jsonString(jobStateName(state));
+        j += spec::jsonString(jobStateName(state));
         jsonKey(j, "error");
-        j += wire::jsonString(error);
+        j += spec::jsonString(error);
         j += '}';
         return j;
     }
@@ -631,7 +632,7 @@ JobManager::recover(const std::string &dir)
     for (const std::string &payload : records) {
         std::map<std::string, std::string> kv;
         try {
-            kv = wire::parseFlatJson(payload);
+            kv = spec::parseFlatJson(payload);
         } catch (const std::exception &e) {
             std::cerr << "picosim journal: unparsable record skipped: "
                       << e.what() << "\n";

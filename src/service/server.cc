@@ -12,6 +12,7 @@
 #include <stdexcept>
 
 #include "service/wire.hh"
+#include "spec/json.hh"
 
 namespace picosim::svc
 {
@@ -58,9 +59,9 @@ statusLine(const char *head, const JobStatus &st)
     out += jobStateName(st.state);
     out += " done=" + std::to_string(st.runsDone);
     out += " total=" + std::to_string(st.runsTotal);
-    out += " tag=" + wire::jsonString(st.tag);
+    out += " tag=" + spec::jsonString(st.tag);
     if (std::string(head) != "JOB")
-        out += " error=" + wire::jsonString(st.error);
+        out += " error=" + spec::jsonString(st.error);
     out += '\n';
     return out;
 }
@@ -157,14 +158,14 @@ Server::cmdSubmit(int fd, wire::LineReader &in, const std::string &line)
     std::uint64_t nbytes = 0;
     if (toks.size() < 2 || !parseId(toks[1], nbytes)) {
         wire::sendAll(fd, "ERR " +
-                              wire::jsonString(
+                              spec::jsonString(
                                   "SUBMIT expects a byte count") +
                               "\n");
         return;
     }
     if (nbytes > kMaxSubmitBytes) {
         wire::sendAll(fd, "ERR " +
-                              wire::jsonString(
+                              spec::jsonString(
                                   "SUBMIT body too large (" +
                                   std::to_string(nbytes) + " bytes; max " +
                                   std::to_string(kMaxSubmitBytes) + ")") +
@@ -193,7 +194,7 @@ Server::cmdSubmit(int fd, wire::LineReader &in, const std::string &line)
     } catch (const std::exception &e) {
         // Spec validation IS RunSpec parsing: the message (with its
         // "did you mean" suggestion) crosses the wire verbatim.
-        wire::sendAll(fd, "ERR " + wire::jsonString(e.what()) + "\n");
+        wire::sendAll(fd, "ERR " + spec::jsonString(e.what()) + "\n");
     }
 }
 
@@ -203,7 +204,7 @@ Server::cmdResult(int fd, std::uint64_t id)
     const auto st = manager_.status(id);
     if (!st) {
         wire::sendAll(fd, "ERR " +
-                              wire::jsonString("unknown job " +
+                              spec::jsonString("unknown job " +
                                                std::to_string(id)) +
                               "\n");
         return;
@@ -244,7 +245,7 @@ Server::handleClient(int fd)
             std::uint64_t id = 0;
             if (toks.size() < 2 || !parseId(toks[1], id)) {
                 wire::sendAll(fd, "ERR " +
-                                      wire::jsonString(verb +
+                                      spec::jsonString(verb +
                                                        " expects a job id") +
                                       "\n");
                 continue;
@@ -255,7 +256,7 @@ Server::handleClient(int fd)
                 const auto st = manager_.status(id);
                 wire::sendAll(
                     fd, st ? statusLine("OK", *st)
-                           : "ERR " + wire::jsonString(
+                           : "ERR " + spec::jsonString(
                                           "unknown job " +
                                           std::to_string(id)) +
                                  "\n");
@@ -263,7 +264,7 @@ Server::handleClient(int fd)
                 wire::sendAll(
                     fd, manager_.cancel(id)
                             ? "OK cancelled " + std::to_string(id) + "\n"
-                            : "ERR " + wire::jsonString(
+                            : "ERR " + spec::jsonString(
                                            "unknown or finished job " +
                                            std::to_string(id)) +
                                   "\n");
@@ -280,14 +281,14 @@ Server::handleClient(int fd)
             break;
         } else {
             wire::sendAll(fd, "ERR " +
-                                  wire::jsonString("unknown verb '" +
+                                  spec::jsonString("unknown verb '" +
                                                    verb + "'") +
                                   "\n");
         }
     }
     if (in.overflowed()) {
         wire::sendAll(fd, "ERR " +
-                              wire::jsonString(
+                              spec::jsonString(
                                   "request line exceeds " +
                                   std::to_string(kMaxLineBytes) +
                                   " bytes") +

@@ -37,7 +37,6 @@
 #define PICOSIM_SERVICE_WIRE_HH
 
 #include <cstddef>
-#include <map>
 #include <string>
 
 #include "runtime/runtime.hh"
@@ -45,25 +44,12 @@
 namespace picosim::svc::wire
 {
 
-/** Quote + escape @p s as a JSON string literal. */
-std::string jsonString(const std::string &s);
-
 /** Every RunResult field as one flat JSON object (one line). */
 std::string runResultJson(const rt::RunResult &res);
 
 /** Inverse of runResultJson. Throws spec::SpecError on malformed input
  *  (unknown fields are ignored for forward compatibility). */
 rt::RunResult runResultFromJson(const std::string &json);
-
-/**
- * Parse a flat JSON object into raw key → value strings (string values
- * unescaped; numbers/booleans verbatim). Shared by runResultFromJson
- * and the client's reply parsing. Throws spec::SpecError.
- */
-std::map<std::string, std::string> parseFlatJson(const std::string &text);
-
-/** Parse a standalone JSON string literal (for ERR payloads). */
-std::string parseJsonString(const std::string &text);
 
 // -- Minimal socket plumbing shared by server and client ----------------
 

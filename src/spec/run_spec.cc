@@ -9,6 +9,7 @@
 #include <sstream>
 
 #include "apps/workloads.hh"
+#include "spec/json.hh"
 
 namespace picosim::spec
 {
@@ -307,81 +308,6 @@ inherentlyNested(const std::string &workload)
            workload == "mergesort-nested";
 }
 
-void
-parseJsonInto(const std::string &text, RunSpec &spec)
-{
-    std::size_t i = 0;
-    const auto fail = [](const std::string &msg) {
-        throw SpecError("spec JSON: " + msg);
-    };
-    const auto skipWs = [&] {
-        while (i < text.size() &&
-               std::isspace(static_cast<unsigned char>(text[i])))
-            ++i;
-    };
-    const auto parseString = [&] {
-        ++i; // opening quote
-        std::string out;
-        while (i < text.size() && text[i] != '"') {
-            if (text[i] == '\\' && i + 1 < text.size())
-                ++i;
-            out += text[i++];
-        }
-        if (i >= text.size())
-            fail("unterminated string");
-        ++i;
-        return out;
-    };
-
-    skipWs();
-    ++i; // '{' (the caller dispatched on it)
-    skipWs();
-    if (i < text.size() && text[i] == '}') {
-        ++i;
-    } else {
-        while (true) {
-            skipWs();
-            if (i >= text.size() || text[i] != '"')
-                fail("expected a quoted key");
-            const std::string key = parseString();
-            skipWs();
-            if (i >= text.size() || text[i] != ':')
-                fail("expected ':' after key '" + key + "'");
-            ++i;
-            skipWs();
-            std::string value;
-            if (i < text.size() && text[i] == '"') {
-                value = parseString();
-            } else {
-                const std::size_t start = i;
-                while (i < text.size() && text[i] != ',' &&
-                       text[i] != '}' &&
-                       !std::isspace(static_cast<unsigned char>(text[i])))
-                    ++i;
-                value = text.substr(start, i - start);
-                if (value == "true")
-                    value = "on";
-                else if (value == "false")
-                    value = "off";
-            }
-            spec.setKey(key, value, "");
-            skipWs();
-            if (i < text.size() && text[i] == ',') {
-                ++i;
-                continue;
-            }
-            if (i < text.size() && text[i] == '}') {
-                ++i;
-                break;
-            }
-            fail("expected ',' or '}'");
-        }
-    }
-    skipWs();
-    if (i != text.size())
-        fail("trailing characters after '}'");
-}
-
 } // namespace
 
 std::string
@@ -565,7 +491,14 @@ RunSpec::merge(const std::string &text)
         ++first;
 
     if (first < text.size() && text[first] == '{') {
-        parseJsonInto(text, *this);
+        for (auto [key, value] : parseFlatJson(text)) {
+            // JSON booleans spell the on/off keys.
+            if (value == "true")
+                value = "on";
+            else if (value == "false")
+                value = "off";
+            setKey(key, value, "");
+        }
         return;
     }
 

@@ -18,6 +18,7 @@
 
 #include "service/server.hh"
 #include "service/wire.hh"
+#include "spec/json.hh"
 
 using namespace picosim;
 using namespace picosim::svc;
@@ -162,7 +163,7 @@ TEST_F(TortureServer, RemovedPdesKeyIsRejectedByName)
     const std::string reply = roundTrip(
         "SUBMIT " + std::to_string(body.size()) + "\n" + body);
     ASSERT_EQ(reply.rfind("ERR ", 0), 0u) << reply;
-    EXPECT_EQ(wire::parseJsonString(reply.substr(4)),
+    EXPECT_EQ(spec::parseJsonString(reply.substr(4)),
               "key 'host-threads' was removed: the parallel "
               "(conservative-PDES) kernel was removed and every run uses "
               "the sequential kernel, so drop it");

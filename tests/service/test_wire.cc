@@ -11,6 +11,7 @@
 #include <string>
 
 #include "service/wire.hh"
+#include "spec/json.hh"
 #include "spec/run_spec.hh"
 
 using namespace picosim;
@@ -56,12 +57,12 @@ TEST(Wire, JsonStringEscapingRoundTrips)
 {
     const std::string nasty =
         "quote\" backslash\\ newline\n tab\t bell\x07 high\x1f done";
-    const std::string quoted = wire::jsonString(nasty);
+    const std::string quoted = spec::jsonString(nasty);
     EXPECT_EQ(quoted.front(), '"');
     EXPECT_EQ(quoted.back(), '"');
     EXPECT_EQ(quoted.find('\n'), std::string::npos)
         << "escaped strings must stay on one line";
-    EXPECT_EQ(wire::parseJsonString(quoted), nasty);
+    EXPECT_EQ(spec::parseJsonString(quoted), nasty);
 }
 
 TEST(Wire, RunResultRoundTripsBitExactly)
@@ -114,7 +115,7 @@ TEST(Wire, ErrorStatusRoundTrips)
 
 TEST(Wire, FlatJsonParsesStringsNumbersAndBooleans)
 {
-    const auto kv = wire::parseFlatJson(
+    const auto kv = spec::parseFlatJson(
         R"({"name": "a b", "n": 42, "x": 1.5, "flag": true, "off": false})");
     EXPECT_EQ(kv.at("name"), "a b");
     EXPECT_EQ(kv.at("n"), "42");
@@ -134,9 +135,9 @@ TEST(Wire, FlatJsonIgnoresUnknownResultFields)
 
 TEST(Wire, MalformedJsonThrows)
 {
-    EXPECT_THROW(wire::parseFlatJson("not json"), spec::SpecError);
-    EXPECT_THROW(wire::parseFlatJson("{\"unterminated\": \"str"),
+    EXPECT_THROW(spec::parseFlatJson("not json"), spec::SpecError);
+    EXPECT_THROW(spec::parseFlatJson("{\"unterminated\": \"str"),
                  spec::SpecError);
-    EXPECT_THROW(wire::parseFlatJson("{\"a\" 1}"), spec::SpecError);
+    EXPECT_THROW(spec::parseFlatJson("{\"a\" 1}"), spec::SpecError);
     EXPECT_THROW(wire::runResultFromJson("[1,2]"), spec::SpecError);
 }

@@ -112,6 +112,18 @@ TEST(RunSpec, SpecFileCommentsAndJsonAccepted)
     EXPECT_EQ(json, file);
 }
 
+TEST(RunSpec, JsonSpecDecodesEscapesLikeTheWire)
+{
+    // Spec files and daemon SUBMIT bodies share the wire's JSON reader:
+    // \u escapes decode, and anything after the object is rejected.
+    const RunSpec s = RunSpec::parse(
+        R"({"workload":"task-free","wl.tasks":16,"runtime":"nanos\u002drv"})");
+    EXPECT_EQ(s.runtime, rt::RuntimeKind::NanosRV);
+    EXPECT_EQ(s.wl.at("tasks"), 16u);
+    EXPECT_THROW(RunSpec::parse(R"({"workload":"task-free"} x)"),
+                 SpecError);
+}
+
 TEST(RunSpec, UnknownKeySuggestsNearest)
 {
     RunSpec s;

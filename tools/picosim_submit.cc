@@ -38,6 +38,7 @@
 
 #include "service/run_plan.hh"
 #include "service/wire.hh"
+#include "spec/json.hh"
 #include "spec/run_spec.hh"
 #include "spec/workload_registry.hh"
 
@@ -282,7 +283,7 @@ submitSpec(int fd, const Options &opt)
             std::fprintf(stderr, "%s\n",
                          sp == std::string::npos
                              ? line.c_str()
-                             : wire::parseJsonString(line.substr(sp + 1))
+                             : spec::parseJsonString(line.substr(sp + 1))
                                    .c_str());
             return 1;
         }
