@@ -19,9 +19,9 @@ Picos::Picos(const sim::Clock &clock, const PicosParams &params,
       statBadRetires_(&stats.scalar("picos.badRetires")),
       statRetires_(&stats.scalar("picos.retires")),
       statInFlight_(&stats.dist("picos.inFlight")),
-      subQueue_(clock, params.subQueueDepth, /*latency=*/1),
-      readyQueue_(clock, params.readyQueueDepth, /*latency=*/1),
-      retireQueue_(clock, params.retireQueueDepth, /*latency=*/1),
+      subQueue_(clock, {params.subQueueDepth, /*latency=*/1}),
+      readyQueue_(clock, {params.readyQueueDepth, /*latency=*/1}),
+      retireQueue_(clock, {params.retireQueueDepth, /*latency=*/1}),
       tasks_(params.trsEntries),
       depTable_(params.dctSets, params.dctWays)
 {

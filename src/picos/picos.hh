@@ -28,7 +28,7 @@
 #include "picos/scheduler_if.hh"
 #include "rocc/task_packets.hh"
 #include "sim/clock.hh"
-#include "sim/queue.hh"
+#include "sim/port.hh"
 #include "sim/stats.hh"
 #include "sim/ticked.hh"
 
@@ -152,9 +152,11 @@ class Picos final : public sim::Ticked, public SchedulerIf
     sim::Scalar *statRetires_;
     sim::Distribution *statInFlight_;
 
-    sim::TimedFifo<std::uint32_t> subQueue_;
-    sim::TimedFifo<std::uint32_t> readyQueue_;
-    sim::TimedFifo<std::uint32_t> retireQueue_;
+    // Latency-1 protocol-crossing queues (Section IV-F2): plain FIFOs,
+    // no owner to wake, no per-port stats, unlimited acceptance width.
+    sim::TimedPort<std::uint32_t> subQueue_;
+    sim::TimedPort<std::uint32_t> readyQueue_;
+    sim::TimedPort<std::uint32_t> retireQueue_;
 
     // Gateway state.
     std::vector<std::uint32_t> collectBuffer_;

@@ -14,13 +14,28 @@
  *    per-grant occupancy. Grants serialize; waiting shows up as stall
  *    cycles in the stats. All bookkeeping is cycle arithmetic, so the
  *    schedule is independent of when (or how often) components tick.
- *  - TimedPort<T>: a bounded request queue between two components —
- *    TimedFifo semantics (capacity backpressure, visibility latency)
- *    plus width-limited acceptance (at most `width` items become visible
- *    per cycle) and per-port contention statistics. An optional owner
- *    component is woken exactly as the hand-written manager code used
- *    to: pushes wake at the front element's ready cycle, freeing space
- *    with popAndWakeOwner() wakes at the current cycle.
+ *  - TimedPort<T>: a bounded request queue between two components,
+ *    modeling a Chisel Queue: capacity backpressure and a visibility
+ *    latency (an element pushed in cycle c is visible in cycle
+ *    c + latency; latency 0 is a fallthrough queue), plus width-limited
+ *    acceptance (at most `width` items become visible per cycle) and
+ *    per-port contention statistics. An optional owner component is
+ *    woken exactly as the hand-written manager code used to: pushes wake
+ *    at the front element's ready cycle, freeing space with
+ *    popAndWakeOwner() wakes at the current cycle. With no owner, no
+ *    stats and width 0 it is a plain FIFO (Picos's protocol-crossing
+ *    queues).
+ *
+ * Same-cycle push/pop ordering (audited, deliberate): canPush() reflects
+ * occupancy at the moment of the call and does NOT anticipate a pop
+ * later in the same cycle — like a Chisel Queue built without the `pipe`
+ * option, whose enq.ready ignores same-cycle deq.fire. A producer
+ * evaluated before the consumer therefore sees a full queue for one
+ * extra cycle per wrap. This is the registration-order-independent
+ * choice: ready combinationally coupled to deq would make throughput
+ * depend on the order components tick within a cycle, breaking
+ * EventDriven/TickWorld equivalence — and the goldens are calibrated
+ * to it.
  */
 
 #ifndef PICOSIM_SIM_PORT_HH
@@ -60,7 +75,7 @@ struct PortParams
     /** Cycles before an accepted element is visible to the consumer. */
     Cycle latency = 0;
 
-    /** Elements accepted per cycle; 0 = unlimited (plain TimedFifo). */
+    /** Elements accepted per cycle; 0 = unlimited (a plain FIFO). */
     unsigned width = 0;
 };
 
@@ -149,7 +164,9 @@ class TimedPort
     bool empty() const { return size() == 0; }
     bool full() const { return size() >= params_.capacity; }
 
-    /** True when a producer may push this cycle. */
+    /** True when a producer may push this cycle (occupancy at the time of
+     *  the call; a later same-cycle pop is not anticipated — see the
+     *  file comment). */
     bool canPush() const { return !full(); }
 
     /** True when the consumer can see and pop the front element now. */

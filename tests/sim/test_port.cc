@@ -1,7 +1,8 @@
 /**
  * @file
  * Unit tests of the timed port/interconnect primitives (sim/port.hh):
- * latency visibility, capacity backpressure, width arbitration, arbiter
+ * plain-FIFO behaviour, latency visibility, capacity backpressure,
+ * same-cycle push/pop ordering, width arbitration, arbiter
  * FCFS occupancy accounting, contention statistics, and the owner-wake
  * contract against a live event-driven Simulator.
  */
@@ -126,6 +127,143 @@ TEST(TimedPort, OwnerWokenThroughKernelOnPush)
     EXPECT_EQ(drain.popped[0].first, 4u);
     EXPECT_EQ(drain.popped[0].second, 42);
 }
+
+// -- TimedPort as a plain FIFO ----------------------------------------------
+//
+// No owner, no stats, width 0: the configuration of Picos's
+// protocol-crossing queues, which model timed hardware FIFOs (hence the
+// suite names).
+
+TEST(TimedFifo, StartsEmpty)
+{
+    Clock clk;
+    TimedPort<int> q(clk, {4});
+    EXPECT_TRUE(q.empty());
+    EXPECT_FALSE(q.full());
+    EXPECT_EQ(q.size(), 0u);
+    EXPECT_FALSE(q.frontReady());
+    EXPECT_EQ(q.nextReadyCycle(), kCycleNever);
+}
+
+TEST(TimedFifo, ZeroLatencyIsFallthrough)
+{
+    Clock clk;
+    TimedPort<int> q(clk, {4, 0});
+    EXPECT_TRUE(q.push(7));
+    EXPECT_TRUE(q.frontReady());
+    EXPECT_EQ(q.front(), 7);
+    EXPECT_EQ(q.pop(), 7);
+    EXPECT_TRUE(q.empty());
+}
+
+TEST(TimedFifo, LatencyDelaysVisibility)
+{
+    Clock clk;
+    TimedPort<int> q(clk, {4, 2});
+    q.push(1);
+    EXPECT_FALSE(q.frontReady());
+    EXPECT_EQ(q.nextReadyCycle(), 2u);
+    clk.advanceTo(1);
+    EXPECT_FALSE(q.frontReady());
+    clk.advanceTo(2);
+    EXPECT_TRUE(q.frontReady());
+    EXPECT_EQ(q.pop(), 1);
+}
+
+TEST(TimedFifo, RespectsCapacity)
+{
+    Clock clk;
+    TimedPort<int> q(clk, {2});
+    EXPECT_TRUE(q.push(1));
+    EXPECT_TRUE(q.push(2));
+    EXPECT_TRUE(q.full());
+    EXPECT_FALSE(q.canPush());
+    EXPECT_FALSE(q.push(3));
+    EXPECT_EQ(q.pop(), 1);
+    EXPECT_TRUE(q.push(3));
+    EXPECT_EQ(q.pop(), 2);
+    EXPECT_EQ(q.pop(), 3);
+}
+
+TEST(TimedFifo, FifoOrderPreserved)
+{
+    Clock clk;
+    TimedPort<int> q(clk, {8, 1});
+    for (int i = 0; i < 5; ++i)
+        q.push(i);
+    clk.advanceTo(1);
+    for (int i = 0; i < 5; ++i)
+        EXPECT_EQ(q.pop(), i);
+}
+
+TEST(TimedFifo, ClearEmptiesQueue)
+{
+    Clock clk;
+    TimedPort<int> q(clk, {4});
+    q.push(1);
+    q.push(2);
+    q.clear();
+    EXPECT_TRUE(q.empty());
+}
+
+TEST(TimedFifo, MixedAgeFrontGatesYoungerEntries)
+{
+    Clock clk;
+    TimedPort<int> q(clk, {4, 1});
+    q.push(1); // ready at 1
+    clk.advanceTo(5);
+    q.push(2); // ready at 6
+    EXPECT_TRUE(q.frontReady());
+    EXPECT_EQ(q.pop(), 1);
+    // Second entry not ready yet.
+    EXPECT_FALSE(q.frontReady());
+    EXPECT_EQ(q.nextReadyCycle(), 6u);
+}
+
+TEST(TimedFifo, SameCyclePopDoesNotUnblockCanPush)
+{
+    // Audited same-cycle ordering (see the file comment in port.hh):
+    // canPush() reflects occupancy at the call, so a producer refused
+    // this cycle stays refused even if the consumer pops later in the
+    // same cycle — the freed slot becomes pushable next cycle. This is
+    // what makes throughput independent of component evaluation order.
+    Clock clk;
+    TimedPort<int> q(clk, {1, 1});
+    ASSERT_TRUE(q.push(1));
+    clk.advanceTo(1);
+    // Producer evaluated first: refused while the consumer's pop is
+    // still pending this cycle.
+    EXPECT_FALSE(q.canPush());
+    EXPECT_FALSE(q.push(2));
+    // Consumer evaluated second: the pop frees the slot too late for
+    // the refused producer.
+    EXPECT_TRUE(q.frontReady());
+    EXPECT_EQ(q.pop(), 1);
+    // The slot is usable from the producer's next evaluation on.
+    EXPECT_TRUE(q.canPush());
+    EXPECT_TRUE(q.push(2));
+    EXPECT_FALSE(q.frontReady()); // latency 1: visible at cycle 2
+    clk.advanceTo(2);
+    EXPECT_EQ(q.pop(), 2);
+}
+
+class TimedFifoLatencyTest : public ::testing::TestWithParam<Cycle>
+{
+};
+
+TEST_P(TimedFifoLatencyTest, NextReadyMatchesLatency)
+{
+    Clock clk;
+    clk.advanceTo(10);
+    TimedPort<int> q(clk, {4, GetParam()});
+    q.push(42);
+    EXPECT_EQ(q.nextReadyCycle(), 10 + GetParam());
+    clk.advanceTo(10 + GetParam());
+    EXPECT_TRUE(q.frontReady());
+}
+
+INSTANTIATE_TEST_SUITE_P(Latencies, TimedFifoLatencyTest,
+                         ::testing::Values(0, 1, 2, 3, 8));
 
 TEST(Arbiter, GrantsSerializeWithOccupancy)
 {
