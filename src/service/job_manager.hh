@@ -54,14 +54,16 @@ class JobManager
          *  the historical behavior). With a journal, submissions and
          *  finished rows survive a crash: the next manager pointed at
          *  the same directory re-queues unfinished jobs verbatim and
-         *  resumes their missing runs from the last durable
-         *  checkpoint. */
+         *  re-runs their missing runs, verified against the last
+         *  durable checkpoint. */
         std::string journalDir;
 
         /** Checkpoint stride (simulated cycles) for journaled runs.
-         *  0 keeps runs checkpoint-free — recovery then restarts
-         *  interrupted runs from cycle zero, which is always correct
-         *  (the simulator is deterministic), just slower. */
+         *  Recovery replays an interrupted run from cycle zero either
+         *  way (a checkpoint is a cut, not a snapshot — see
+         *  RunControls::resumeFrom); a recorded checkpoint only lets
+         *  the replay verify its digest at that cycle. 0 keeps runs
+         *  checkpoint-free: same replay, no verification. */
         Cycle checkpointEvery = 0;
     };
 

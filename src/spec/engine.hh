@@ -44,9 +44,8 @@ class Engine
 
     /**
      * Run @p spec with the System kept alive for inspection
-     * (rt::runInspected). @p trace, when given, is armed on runtimes
-     * that support task tracing (Phentos, Nanos). serialCycles is left
-     * zero.
+     * (rt::runInspected). @p trace, when given, records every task's
+     * lifecycle (every runtime traces). serialCycles is left zero.
      */
     static InspectedRun runInspected(const RunSpec &spec,
                                      rt::TaskTrace *trace = nullptr,
