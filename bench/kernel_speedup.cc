@@ -90,6 +90,7 @@ compareModes(bench::BenchJson &json, const char *label,
     json.field("cycles", re.cycles);
     json.field("identical", re.cycles == rw.cycles);
     json.field("eventTicks", re.componentTicks);
+    json.field("eventEvaluatedCycles", re.evaluatedCycles);
     json.field("worldTicks", rw.componentTicks);
     json.field("tickRatio", tickRatio);
     json.field("wallEventSec", te);

@@ -38,19 +38,22 @@ figure9Inputs()
     }
 
     // jacobi: N in {128, 256, 512}, one-row blocks, 8 sweeps.
+    // The sizes are named lvalues: GCC 12 reports a false -Wrestrict
+    // through operator+(const char *, string &&) on a temporary.
     for (unsigned n : {128u, 256u, 512u}) {
+        const std::string size = std::to_string(n);
         inputs.push_back(
-            {"jacobi", "N" + std::to_string(n) + " B1",
+            {"jacobi", "N" + size + " B1",
              {{"n", n}, {"block-rows", 1}, {"sweeps", 8}}});
     }
 
     // sparselu: two grid sizes x block-size multiplier M in {1..16}.
     for (unsigned n : {32u, 128u}) {
         const unsigned nb = n == 32 ? 8 : 12;
+        const std::string size = std::to_string(n);
         for (unsigned m : {1u, 2u, 4u, 8u, 16u}) {
             inputs.push_back(
-                {"sparselu",
-                 "N" + std::to_string(n) + " M" + std::to_string(m),
+                {"sparselu", "N" + size + " M" + std::to_string(m),
                  {{"nb", nb}, {"bs", 6 * m}}});
         }
     }

@@ -62,7 +62,7 @@ PicosManager::reset()
     rrRetireNext_ = 0;
     pendingRequests_ = 0;
     pendingRetires_ = 0;
-    readyOccupied_ = 0;
+    deliveryVisibleAt_ = 0;
     errorCode_ = 0;
 }
 
@@ -128,11 +128,8 @@ PicosManager::peekReady(CoreId core) const
 rocc::ReadyTuple
 PicosManager::popReady(CoreId core)
 {
-    CorePort &port = ports_.at(core);
-    if (port.readyQueue.size() == 1)
-        --readyOccupied_;
     // Freed private-queue space may let the work-fetch arbiter deliver.
-    return port.readyQueue.popAndWakeOwner();
+    return ports_.at(core).readyQueue.popAndWakeOwner();
 }
 
 bool
@@ -231,9 +228,8 @@ PicosManager::tickWorkFetchArbiter()
     if (!port.readyQueue.canPush())
         return;
     routingQueue_.pop();
-    if (port.readyQueue.empty())
-        ++readyOccupied_;
     port.readyQueue.push(roccReadyQueue_.pop());
+    deliveryVisibleAt_ = clock_.now() + port.readyQueue.params().latency;
     ++*readyDelivered_;
 }
 
@@ -262,85 +258,56 @@ PicosManager::tick()
     tickSubmissionHandler();
 }
 
-bool
-PicosManager::active() const
-{
-    const Cycle next = clock_.now() + 1;
-    if (grantedCore_ >= 0)
-        return true;
-    // The encoder makes progress when collecting packets or when it can
-    // emit its tuple; a stalled encoder (central queue full) sleeps until
-    // the work-fetch path drains it.
-    if (encodeCount_ == 3 ? roccReadyQueue_.canPush() : sched_.readyValid())
-        return true;
-    if (finalBuffer_.nextReadyCycle() <= next)
-        return true;
-    if (routingQueue_.nextReadyCycle() <= next && !roccReadyQueue_.empty())
-        return true;
-    for (const CorePort &port : ports_) {
-        if (port.requestQueue.nextReadyCycle() <= next)
-            return true;
-        if (port.retireBuffer.nextReadyCycle() <= next)
-            return true;
-    }
-    return false;
-}
-
-Cycle
-PicosManager::wakeAt() const
-{
-    Cycle wake = kCycleNever;
-    wake = std::min(wake, finalBuffer_.nextReadyCycle());
-    if (!roccReadyQueue_.empty() || encodeCount_ > 0 ||
-        sched_.readyValid()) {
-        wake = std::min(wake, routingQueue_.nextReadyCycle());
-    }
-    for (const CorePort &port : ports_) {
-        wake = std::min(wake, port.requestQueue.nextReadyCycle());
-        wake = std::min(wake, port.retireBuffer.nextReadyCycle());
-        // Not work for the manager itself, but the kernel must advance
-        // the clock across the private-queue latency so a polling
-        // consumer (or a run predicate) can observe the delivery.
-        wake = std::min(wake, port.readyQueue.nextReadyCycle());
-    }
-    return wake;
-}
-
 Cycle
 PicosManager::nextSelfDue(Cycle next) const
 {
-    // Mirrors active() (any hit returns `next`) and wakeAt() (otherwise
-    // the min over the same port state) without walking the ports twice.
-    if (grantedCore_ >= 0)
+    const Cycle now = next - 1;
+    // Every per-core port has latency 0 or 1 and is pushed at the
+    // current cycle at the latest, so a pending request or retirement is
+    // visible by next.
+    if (pendingRetires_ > 0 && sched_.retireCanAccept())
         return next;
     if (encodeCount_ == 3 ? roccReadyQueue_.canPush() : sched_.readyValid())
         return next;
-    const Cycle fb = finalBuffer_.nextReadyCycle();
-    if (fb <= next)
-        return next;
-    const Cycle rq = routingQueue_.nextReadyCycle();
-    const bool roccEmpty = roccReadyQueue_.empty();
-    if (rq <= next && !roccEmpty)
-        return next;
 
-    Cycle wake = fb;
-    if (!roccEmpty || encodeCount_ > 0 || sched_.readyValid())
-        wake = std::min(wake, rq);
-    if (pendingRequests_ == 0 && pendingRetires_ == 0 &&
-        readyOccupied_ == 0)
-        return wake; // every per-core port is empty — nothing to scan
-    for (const CorePort &port : ports_) {
-        const Cycle rr = port.requestQueue.nextReadyCycle();
-        const Cycle rb = port.retireBuffer.nextReadyCycle();
-        if (rr <= next || rb <= next)
+    Cycle due = kCycleNever;
+    // Work-fetch arbiter: the routing head's private queue has room.
+    if (!roccReadyQueue_.empty()) {
+        const Cycle rq = routingQueue_.nextReadyCycle();
+        if (rq > now)
+            due = rq;
+        else if (rq != kCycleNever &&
+                 ports_[routingQueue_.front()].readyQueue.canPush())
             return next;
-        wake = std::min(wake, std::min(rr, rb));
-        // Not work for the manager itself, but the kernel must advance
-        // the clock across the private-queue latency so a polling
-        // consumer (or a run predicate) can observe the delivery.
-        wake = std::min(wake, port.readyQueue.nextReadyCycle());
     }
-    return wake;
+
+    // Final Buffer -> scheduler.
+    if (!finalBuffer_.empty()) {
+        const Cycle fb = finalBuffer_.nextReadyCycle();
+        if (fb > now)
+            due = std::min(due, fb);
+        else if (sched_.subCanAccept())
+            return next;
+    }
+
+    // Submission handler: stream the granted burst, else grant one.
+    if (grantedCore_ >= 0) {
+        if (finalBuffer_.canPush()) {
+            if (burstRemaining_ == 0)
+                return next; // zero padding
+            due = std::min(
+                due, ports_[grantedCore_].subBuffer.nextReadyCycle());
+        }
+    } else if (pendingRequests_ > 0) {
+        return next;
+    }
+
+    // Not work for the manager itself, but the kernel must advance the
+    // clock across the private-queue latency so a polling consumer (or a
+    // run predicate) can observe the delivery.
+    if (deliveryVisibleAt_ > now)
+        due = std::min(due, deliveryVisibleAt_);
+    return due;
 }
 
 bool

@@ -79,12 +79,21 @@ class PicosManager final : public sim::Ticked
 
     // -- Ticked --
     void tick() override;
-    bool active() const override;
-    Cycle wakeAt() const override;
+    bool active() const override
+    {
+        return nextSelfDue(clock_.now() + 1) <= clock_.now() + 1;
+    }
+    Cycle wakeAt() const override { return nextSelfDue(clock_.now() + 1); }
 
-    /** Fused kernel re-arm query, exactly `active() ? next : wakeAt()`
-     *  in ONE pass over the port state — the kernel asks after every
-     *  tick, and the manager ticks nearly every evaluated cycle. */
+    /**
+     * The earliest cycle at which tick() can make progress, given
+     * @p next = now + 1, or a future cycle at which a queued element
+     * becomes visible. A pipeline blocked on a neighbour contributes
+     * nothing: a full private ready queue is woken by popReady(), a full
+     * scheduler submission or retirement queue by the scheduler's pop
+     * (through the ready-listener registration), and Submission Requests
+     * wait while the port is granted.
+     */
     Cycle nextSelfDue(Cycle next) const;
 
     // -- Introspection --
@@ -172,10 +181,12 @@ class PicosManager final : public sim::Ticked
 
     // Occupancy counters over the per-core ports, maintained at the
     // push/pop sites so the per-tick pipelines and the kernel's re-arm
-    // query can skip whole port scans when nothing is pending.
+    // query never scan the ports.
     unsigned pendingRequests_ = 0; ///< submission requests in any core port
     unsigned pendingRetires_ = 0;  ///< retirement packets in any core port
-    unsigned readyOccupied_ = 0;   ///< non-empty private ready queues
+
+    /** Cycle the latest private-queue delivery becomes visible. */
+    Cycle deliveryVisibleAt_ = 0;
 
     std::uint8_t errorCode_ = 0;
 };

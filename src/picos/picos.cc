@@ -13,12 +13,12 @@ Picos::Picos(const sim::Clock &clock, const PicosParams &params,
       statSubPackets_(&stats.scalar("picos.subPackets")),
       statRetirePackets_(&stats.scalar("picos.retirePackets")),
       statDepEdges_(&stats.scalar("picos.depEdges")),
-      statDepTableStalls_(&stats.scalar("picos.depTableStalls")),
-      statTrsStalls_(&stats.scalar("picos.trsStalls")),
       statReadyIssued_(&stats.scalar("picos.readyIssued")),
       statBadRetires_(&stats.scalar("picos.badRetires")),
       statRetires_(&stats.scalar("picos.retires")),
       statInFlight_(&stats.dist("picos.inFlight")),
+      depTableStalls_(stats.scalar("picos.depTableStalls")),
+      trsStalls_(stats.scalar("picos.trsStalls")),
       subQueue_(clock, {params.subQueueDepth, /*latency=*/1}),
       readyQueue_(clock, {params.readyQueueDepth, /*latency=*/1}),
       retireQueue_(clock, {params.retireQueueDepth, /*latency=*/1}),
@@ -42,6 +42,8 @@ Picos::reset()
     gwBusyUntil_ = 0;
     gwTaskId_ = -1;
     gwDepIndex_ = 0;
+    depTableStalls_.reset();
+    trsStalls_.reset();
     freeList_.clear();
     for (std::uint32_t i = 0; i < params_.trsEntries; ++i) {
         tasks_[i] = TaskEntry{.state = TaskState::Free,
@@ -146,7 +148,7 @@ Picos::applyDescriptor()
                 dep.addr,
                 [this](const DepEntry &de) { return entryEvictable(de); });
             if (!e) {
-                ++*statDepTableStalls_;
+                depTableStalls_.fail(clock_.now());
                 return false;
             }
         }
@@ -171,6 +173,7 @@ Picos::applyDescriptor()
         ++gwDepIndex_;
     }
 
+    depTableStalls_.clear(clock_.now());
     task.swId = gwDesc_.swId;
     ++tasksProcessed_;
     ++inFlight_;
@@ -194,19 +197,32 @@ Picos::markReady(std::uint32_t id)
 }
 
 void
+Picos::wakeListener()
+{
+    if (readyListener_)
+        readyListener_->requestWake(clock_.now());
+}
+
+void
 Picos::tickGateway()
 {
     const Cycle now = clock_.now();
     switch (gwState_) {
       case GwState::Collect:
         if (subQueue_.frontReady()) {
-            if (collectBuffer_.empty() && freeList_.empty()) {
-                // No reservation entry: exert backpressure by not
-                // consuming; the submission queue fills and software sees
-                // failed Submit Packet instructions.
-                ++*statTrsStalls_;
-                return;
+            if (collectBuffer_.empty()) {
+                if (freeList_.empty()) {
+                    // No reservation entry: exert backpressure by not
+                    // consuming; the submission queue fills and software
+                    // sees failed Submit Packet instructions.
+                    trsStalls_.fail(now);
+                    return;
+                }
+                trsStalls_.clear(now);
             }
+            // A full queue may hold the manager's Final Buffer back.
+            if (subQueue_.full())
+                wakeListener();
             collectBuffer_.push_back(subQueue_.pop());
             if (collectBuffer_.size() == rocc::kDescriptorPackets) {
                 gwDesc_ = rocc::decodeDescriptor(collectBuffer_);
@@ -282,6 +298,9 @@ Picos::tickRetire()
     const Cycle now = clock_.now();
     if (now < retireBusyUntil_ || !retireQueue_.frontReady())
         return;
+    // A full queue may hold the manager's retirement arbiter back.
+    if (retireQueue_.full())
+        wakeListener();
     const std::uint32_t id = retireQueue_.pop();
     if (id >= tasks_.size() || tasks_[id].state != TaskState::Running) {
         ++*statBadRetires_;
@@ -323,60 +342,56 @@ Picos::tick()
     tickReadyIssue();
 }
 
-bool
-Picos::active() const
-{
-    const Cycle next = clock_.now() + 1;
-    if (gwState_ != GwState::Collect || !collectBuffer_.empty())
-        return true;
-    if (readyIssuingId_ >= 0 || !readyPending_.empty())
-        return true;
-    if (subQueue_.nextReadyCycle() <= next)
-        return true;
-    if (retireQueue_.nextReadyCycle() <= next)
-        return true;
-    return false;
-}
-
-Cycle
-Picos::wakeAt() const
-{
-    Cycle wake = kCycleNever;
-    wake = std::min(wake, subQueue_.nextReadyCycle());
-    wake = std::min(wake, retireQueue_.nextReadyCycle());
-    // Surface pending ready packets so the manager's encoder gets ticked
-    // even when everything else is quiescent.
-    wake = std::min(wake, readyQueue_.nextReadyCycle());
-    if (gwState_ == GwState::Process)
-        wake = std::min(wake, gwBusyUntil_);
-    if (readyIssuingId_ >= 0)
-        wake = std::min(wake, readyBusyUntil_);
-    return wake;
-}
-
 Cycle
 Picos::nextSelfDue(Cycle next) const
 {
-    // Mirrors active() (any hit returns `next`) and wakeAt() without
-    // reading the queue state twice.
-    if (gwState_ != GwState::Collect || !collectBuffer_.empty())
-        return next;
-    if (readyIssuingId_ >= 0 || !readyPending_.empty())
-        return next;
-    const Cycle sub = subQueue_.nextReadyCycle();
-    if (sub <= next)
-        return next;
-    const Cycle retire = retireQueue_.nextReadyCycle();
-    if (retire <= next)
-        return next;
+    const Cycle now = next - 1;
+    Cycle due = kCycleNever;
 
-    Cycle wake = std::min(sub, retire);
-    // Surface pending ready packets so the manager's encoder gets ticked
-    // even when everything else is quiescent.
-    wake = std::min(wake, readyQueue_.nextReadyCycle());
-    // gwState_ == Collect and readyIssuingId_ < 0 here, so the busy-until
-    // terms of wakeAt() cannot apply.
-    return wake;
+    // Retirement: the head packet once visible and the pipeline is free.
+    // It is also what a Stalled gateway or a TRS stall waits for.
+    if (!retireQueue_.empty())
+        due = std::max(retireQueue_.nextReadyCycle(), retireBusyUntil_);
+
+    switch (gwState_) {
+      case GwState::Process:
+        due = std::min(due, gwBusyUntil_);
+        break;
+      case GwState::Stalled:
+        break; // retried by the retirement that frees a table way
+      case GwState::Collect:
+        // A TRS stall is tried once, to open its span, then waits for a
+        // retirement. An empty queue waits for subPush().
+        if (!subQueue_.empty() &&
+            !(subQueue_.frontReady() && collectBuffer_.empty() &&
+              freeList_.empty() && trsStalls_.open()))
+            due = std::min(due, subQueue_.nextReadyCycle());
+        break;
+    }
+
+    if (readyIssuingId_ >= 0) {
+        // Waiting for queue space is woken by readyPop().
+        if (readyBusyUntil_ > now)
+            due = std::min(due, readyBusyUntil_);
+        else if (readyQueue_.capacity() - readyQueue_.size() >= 3)
+            return next;
+    } else if (!readyPending_.empty()) {
+        return next;
+    }
+
+    // Surface ready packets that become visible later, so the clock
+    // reaches the cycle the manager's encoder can see them.
+    const Cycle visible = readyQueue_.nextReadyCycle();
+    if (visible > now)
+        due = std::min(due, visible);
+    return due;
+}
+
+void
+Picos::settleStats(Cycle boundary)
+{
+    depTableStalls_.settle(boundary - 1);
+    trsStalls_.settle(boundary - 1);
 }
 
 bool

@@ -59,16 +59,19 @@ class Picos final : public sim::Ticked, public SchedulerIf
     std::uint32_t
     readyPop() override
     {
-        // Freed ready-queue space may unblock a stalled descriptor issue.
-        requestWake(clock_.now());
+        // The pop that frees room for a whole ready tuple unblocks a
+        // ready issue waiting for space; Picos does not poll for it.
+        if (readyIssuingId_ >= 0 && readyBusyUntil_ <= clock_.now() &&
+            readyQueue_.capacity() - readyQueue_.size() == 2)
+            requestWake(clock_.now());
         return readyQueue_.pop();
     }
 
     /**
-     * Register the consumer of the ready interface (the Picos Manager's
-     * packet encoder). The event-driven kernel evaluates only scheduled
-     * components, so Picos wakes its consumer whenever ready packets
-     * become visible; without this the encoder would sleep through them.
+     * Register the consumer of the ready interface (the Picos Manager).
+     * The event-driven kernel evaluates only scheduled components, so
+     * Picos wakes it whenever ready packets become visible, and whenever
+     * a pop frees the submission or retirement queue it found full.
      */
     void
     setReadyListener(sim::Ticked *listener) override
@@ -82,11 +85,20 @@ class Picos final : public sim::Ticked, public SchedulerIf
 
     // -- Ticked --
     void tick() override;
-    bool active() const override;
-    Cycle wakeAt() const override;
+    bool active() const override
+    {
+        return nextSelfDue(clock_.now() + 1) <= clock_.now() + 1;
+    }
+    Cycle wakeAt() const override { return nextSelfDue(clock_.now() + 1); }
+    void settleStats(Cycle boundary) override;
 
-    /** Fused kernel re-arm query: `active() ? next : wakeAt()` in one
-     *  pass over the pipeline state. */
+    /**
+     * The earliest cycle at which tick() can make progress, given
+     * @p next = now + 1: its own pipelines' busy-until cycles and the
+     * future cycles at which queued packets become visible. A stall on
+     * state only a neighbour or a retirement can change contributes
+     * nothing; the change wakes Picos.
+     */
     Cycle nextSelfDue(Cycle next) const;
 
     // -- Introspection (tests, stats) --
@@ -97,6 +109,12 @@ class Picos final : public sim::Ticked, public SchedulerIf
     std::size_t depTableEntries() const { return depTable_.validEntries(); }
     std::uint64_t tasksProcessed() const { return tasksProcessed_; }
     std::uint64_t tasksRetired() const { return tasksRetired_; }
+
+    /** The gateway waits for a dependence-table way (Stalled). */
+    bool depTableStalled() const { return gwState_ == GwState::Stalled; }
+
+    /** The gateway refuses a descriptor because the TRS is full. */
+    bool trsStalled() const { return trsStalls_.open(); }
 
     void reset();
 
@@ -137,6 +155,9 @@ class Picos final : public sim::Ticked, public SchedulerIf
 
     void markReady(std::uint32_t id);
 
+    /** Wake the manager after a pop from a queue it found full. */
+    void wakeListener();
+
     const sim::Clock &clock_;
     PicosParams params_;
 
@@ -145,12 +166,14 @@ class Picos final : public sim::Ticked, public SchedulerIf
     sim::Scalar *statSubPackets_;
     sim::Scalar *statRetirePackets_;
     sim::Scalar *statDepEdges_;
-    sim::Scalar *statDepTableStalls_;
-    sim::Scalar *statTrsStalls_;
     sim::Scalar *statReadyIssued_;
     sim::Scalar *statBadRetires_;
     sim::Scalar *statRetires_;
     sim::Distribution *statInFlight_;
+
+    // Gateway stalls, counted per cycle while Picos sleeps through them.
+    sim::StallSpan depTableStalls_;
+    sim::StallSpan trsStalls_;
 
     // Latency-1 protocol-crossing queues (Section IV-F2): plain FIFOs,
     // no owner to wake, no per-port stats, unlimited acceptance width.

@@ -26,6 +26,8 @@ ShardedPicos::Shard::Shard(const sim::Clock &clock, const PicosParams &p,
                            sim::Ticked *owner, std::size_t notify_cap)
     : table(p.dctSets, p.dctWays, id, topo.schedShards),
       gate(&stats, "sharded.s" + std::to_string(id) + ".gate"),
+      depTableStalls(stats.scalar("sharded.depTableStalls")),
+      trsStalls(stats.scalar("sharded.trsStalls")),
       notifyQueue(clock, {notify_cap, topo.xshardNotifyCycles, 0}, &stats,
                   "sharded.s" + std::to_string(id) + ".notify", owner)
 {
@@ -46,7 +48,8 @@ ShardedPicos::Cluster::Cluster(const sim::Clock &clock, const PicosParams &p,
       // pinned to this cluster, so deeper buffering would hoard work a
       // dry neighbour could have stolen from readyPending.
       readyQueue(clock, {3, 1, 0}, &stats,
-                 "sharded.c" + std::to_string(id) + ".readyQueue")
+                 "sharded.c" + std::to_string(id) + ".readyQueue"),
+      gatewayBackpressure(stats.scalar("sharded.gatewayBackpressure"))
 {
     collectBuffer.reserve(rocc::kDescriptorPackets);
 }
@@ -61,13 +64,10 @@ ShardedPicos::ShardedPicos(const sim::Clock &clock,
       statRetirePackets_(&stats.scalar("sharded.retirePackets")),
       statDepEdges_(&stats.scalar("sharded.depEdges")),
       statCrossShardEdges_(&stats.scalar("sharded.crossShardEdges")),
-      statDepTableStalls_(&stats.scalar("sharded.depTableStalls")),
       statTasksProcessed_(&stats.scalar("sharded.tasksProcessed")),
       statCrossShardNotifies_(&stats.scalar("sharded.crossShardNotifies")),
       statRetires_(&stats.scalar("sharded.retires")),
       statBadRetires_(&stats.scalar("sharded.badRetires")),
-      statTrsStalls_(&stats.scalar("sharded.trsStalls")),
-      statGatewayBackpressure_(&stats.scalar("sharded.gatewayBackpressure")),
       statReadyIssued_(&stats.scalar("sharded.readyIssued")),
       statSteals_(&stats.scalar("sharded.steals")),
       statInFlight_(&stats.dist("sharded.inFlight"))
@@ -137,15 +137,20 @@ ShardedPicos::ClusterPort::readyValid() const
 std::uint32_t
 ShardedPicos::ClusterPort::readyPop()
 {
-    // Freed ready-queue space may unblock a stalled packet issue.
-    sp_.requestWake(sp_.clock_.now());
-    return sp_.clusters_[c_].readyQueue.pop();
+    // The pop that frees room for a whole tuple may unblock this
+    // cluster's ready issue or let it steal; nothing polls for it.
+    Cluster &cl = sp_.clusters_[c_];
+    if (cl.readyQueue.capacity() - cl.readyQueue.size() == 2)
+        sp_.requestWake(sp_.clock_.now());
+    return cl.readyQueue.pop();
 }
 
 void
 ShardedPicos::ClusterPort::setReadyListener(sim::Ticked *listener)
 {
-    sp_.clusters_[c_].readyQueue.setOwner(listener);
+    Cluster &cl = sp_.clusters_[c_];
+    cl.readyQueue.setOwner(listener);
+    cl.listener = listener;
 }
 
 bool
@@ -255,7 +260,8 @@ ShardedPicos::applyDescriptor(Shard &sh)
                 return entryEvictable(de);
             });
             if (!e) {
-                ++*statDepTableStalls_;
+                sh.depTableStalls.fail(
+                    shardLive(clock_.now(), homeShardOf(id)));
                 return false;
             }
         }
@@ -279,6 +285,7 @@ ShardedPicos::applyDescriptor(Shard &sh)
         ++sh.gwDepIndex;
     }
 
+    sh.depTableStalls.clear(shardLive(clock_.now(), homeShardOf(id)));
     task.swId = sh.gwDesc.swId;
     ++tasksProcessed_;
     ++*statTasksProcessed_;
@@ -396,10 +403,16 @@ ShardedPicos::tickRetire()
         Cluster &cl = clusters_[c];
         if (!cl.retireQueue.frontReady())
             continue;
+        // A full queue may hold the manager's retirement arbiter back.
+        const auto pop = [&cl, now] {
+            if (cl.retireQueue.full() && cl.listener)
+                cl.listener->requestWake(now);
+            cl.retireQueue.pop();
+        };
         const std::uint32_t id = cl.retireQueue.front();
         if (id >= tasks_.size() ||
             tasks_[id].state != TaskState::Running) {
-            cl.retireQueue.pop();
+            pop();
             ++*statBadRetires_;
             PSIM_WARN(clock_, "sharded",
                       "retire of task " << id << " in invalid state");
@@ -410,7 +423,7 @@ ShardedPicos::tickRetire()
         // like a busy retire pipeline — in-order service per cluster.
         if (served[s] || shards_[s].retireBusyUntil > now || shardDown(s))
             continue;
-        cl.retireQueue.pop();
+        pop();
         finishRetire(shards_[s], id);
         served[s] = true;
         if (first < 0)
@@ -435,9 +448,10 @@ ShardedPicos::tickGateways()
             if (sh.freeList.empty()) {
                 // Backpressure: hold the descriptor at the gateway until
                 // a retirement frees a reservation entry.
-                ++*statTrsStalls_;
+                sh.trsStalls.fail(shardLive(now, s));
                 continue;
             }
+            sh.trsStalls.clear(shardLive(now, s));
             PendingDesc &pending = sh.inQueue.front();
             const std::uint32_t id = sh.freeList.front();
             sh.freeList.pop_front();
@@ -479,14 +493,18 @@ ShardedPicos::tickRouters()
                 sh.inQueue.push_back(
                     PendingDesc{grant + occ, std::move(cl.decoded), c});
                 cl.hasDecoded = false;
+                cl.gatewayBackpressure.clear(linkLive(now, c));
                 if (dep_free)
                     cl.rrShard = (cl.rrShard + 1) % topo_.schedShards;
             } else {
-                ++*statGatewayBackpressure_;
+                cl.gatewayBackpressure.fail(linkLive(now, c));
             }
         }
         // Collect one submission packet per cycle into the descriptor.
         if (!cl.hasDecoded && cl.subQueue.frontReady()) {
+            // A full queue may hold the manager's Final Buffer back.
+            if (cl.subQueue.full() && cl.listener)
+                cl.listener->requestWake(now);
             cl.collectBuffer.push_back(cl.subQueue.pop());
             if (cl.collectBuffer.size() == rocc::kDescriptorPackets) {
                 cl.decoded = rocc::decodeDescriptor(cl.collectBuffer);
@@ -565,10 +583,9 @@ ShardedPicos::tick()
 }
 
 Cycle
-ShardedPicos::nextDue() const
+ShardedPicos::nextSelfDue(Cycle next) const
 {
-    const Cycle now = clock_.now();
-    const Cycle poll = now + 1;
+    const Cycle now = next - 1;
     Cycle due = kCycleNever;
     const auto merge = [&due](Cycle c) { due = std::min(due, c); };
 
@@ -576,56 +593,94 @@ ShardedPicos::nextDue() const
         const Shard &sh = shards_[s];
         // A down shard services nothing until it heals: defer its
         // sources to the heal cycle (or never) instead of polling
-        // through the outage. The gate is a pure function of the
-        // clock, so the deferral is deterministic.
+        // through the outage, and retry a stall there, since retirements
+        // elsewhere may have freed what it waits for. The gate is a pure
+        // function of the clock, so the deferral is deterministic.
         const bool down = shardDown(s);
-        if (sh.gwTaskId >= 0)
-            merge(gateFault(poll, down)); // dep-table stall retry
-        if (!sh.inQueue.empty())
-            merge(gateFault(std::max(sh.inQueue.front().readyAt, poll),
-                            down));
+        if (sh.gwTaskId >= 0) {
+            // Dep-table stall: retried by the retirement that frees a way.
+            if (down)
+                merge(gateFault(next, true));
+        } else if (!sh.inQueue.empty()) {
+            // A TRS stall is tried once, to open its span, then waits
+            // for a retirement on this shard.
+            const Cycle at = sh.inQueue.front().readyAt;
+            if (at > now || !sh.freeList.empty() || !sh.trsStalls.open() ||
+                down)
+                merge(gateFault(at, down));
+        }
         merge(gateFault(sh.notifyQueue.nextReadyCycle(), down));
     }
+
+    bool freeCluster = false; // could steal
+    bool pending = false;     // holds a stealable ready task
     for (unsigned c = 0; c < clusters_.size(); ++c) {
         const Cluster &cl = clusters_[c];
         const bool linkDown = clusterLinkDown(c);
-        if (!cl.collectBuffer.empty() || cl.hasDecoded)
-            merge(gateFault(poll, linkDown));
-        merge(gateFault(cl.subQueue.nextReadyCycle(), linkDown));
-        const Cycle retire_ready = cl.retireQueue.nextReadyCycle();
-        if (retire_ready != kCycleNever) {
-            // A consumable head homed on a down shard is head-of-line
-            // blocked until the heal; anything else is serviceable.
-            bool blocked = false;
-            if (cl.retireQueue.frontReady()) {
-                const std::uint32_t id = cl.retireQueue.front();
-                blocked = id < tasks_.size() &&
-                          tasks_[id].state == TaskState::Running &&
-                          shardDown(homeShardOf(id));
-            }
-            merge(gateFault(std::max(retire_ready, poll), blocked));
+        if (cl.hasDecoded) {
+            // Dispatch is tried once, to open the backpressure span,
+            // then waits for the gateway's pop in this tick.
+            const Shard &sh = shards_[shardOfDesc(cl.decoded, cl)];
+            if (sh.inQueue.size() < topo_.gatewayQueueDepth ||
+                !cl.gatewayBackpressure.open() || linkDown)
+                merge(gateFault(next, linkDown));
+        } else {
+            merge(gateFault(cl.subQueue.nextReadyCycle(), linkDown));
         }
-        if (cl.readyIssuingId >= 0)
-            merge(std::max(cl.readyBusyUntil, poll));
-        if (!cl.readyPending.empty())
-            merge(poll);
-        // Surface pending ready packets so the cluster's manager gets
-        // the clock advanced across the queue latency.
-        merge(cl.readyQueue.nextReadyCycle());
+
+        if (!cl.retireQueue.empty()) {
+            const Cycle ready = cl.retireQueue.nextReadyCycle();
+            if (ready > now) {
+                merge(ready);
+            } else {
+                // In-order service: the head waits for its home shard's
+                // retire pipeline; a bad retire is dropped next cycle.
+                const std::uint32_t id = cl.retireQueue.front();
+                if (id >= tasks_.size() ||
+                    tasks_[id].state != TaskState::Running) {
+                    merge(next);
+                } else {
+                    const unsigned s = homeShardOf(id);
+                    merge(gateFault(shards_[s].retireBusyUntil,
+                                    shardDown(s)));
+                }
+            }
+        }
+
+        const std::size_t room =
+            cl.readyQueue.capacity() - cl.readyQueue.size();
+        if (cl.readyIssuingId >= 0) {
+            if (cl.readyBusyUntil > now)
+                merge(cl.readyBusyUntil);
+            else if (room >= 3)
+                merge(next);
+        } else if (!cl.readyPending.empty()) {
+            merge(next);
+        } else if (topo_.workStealing && room >= 3) {
+            freeCluster = true;
+        }
+        pending = pending || !cl.readyPending.empty();
+        // Surface ready packets that become visible later, so the clock
+        // reaches the cycle the cluster's manager can see them.
+        const Cycle visible = cl.readyQueue.nextReadyCycle();
+        if (visible > now)
+            merge(visible);
     }
+    if (freeCluster && pending)
+        merge(next);
     return due;
 }
 
-bool
-ShardedPicos::active() const
+void
+ShardedPicos::settleStats(Cycle boundary)
 {
-    return nextDue() <= clock_.now() + 1;
-}
-
-Cycle
-ShardedPicos::wakeAt() const
-{
-    return nextDue();
+    for (unsigned s = 0; s < shards_.size(); ++s) {
+        const Cycle p = shardLive(boundary - 1, s);
+        shards_[s].depTableStalls.settle(p);
+        shards_[s].trsStalls.settle(p);
+    }
+    for (unsigned c = 0; c < clusters_.size(); ++c)
+        clusters_[c].gatewayBackpressure.settle(linkLive(boundary - 1, c));
 }
 
 bool

@@ -76,8 +76,21 @@ class ShardedPicos final : public sim::Ticked
 
     // -- Ticked --
     void tick() override;
-    bool active() const override;
-    Cycle wakeAt() const override;
+    bool active() const override
+    {
+        return nextSelfDue(clock_.now() + 1) <= clock_.now() + 1;
+    }
+    Cycle wakeAt() const override { return nextSelfDue(clock_.now() + 1); }
+    void settleStats(Cycle boundary) override;
+
+    /**
+     * The earliest cycle at which tick() can make progress, given
+     * @p next = now + 1, or a future cycle at which a queued element
+     * becomes visible. Stalls on state only a retirement or the manager
+     * can change contribute nothing: retirements run in this tick, and
+     * ClusterPort::readyPop wakes a ready issue waiting for space.
+     */
+    Cycle nextSelfDue(Cycle next) const;
 
     // -- Introspection (tests, stats) --
     unsigned numShards() const { return topo_.schedShards; }
@@ -90,6 +103,20 @@ class ShardedPicos final : public sim::Ticked
     std::uint64_t workSteals() const { return steals_; }
     TaskState taskState(std::uint32_t picos_id) const;
     const PicosParams &params() const { return params_; }
+
+    /** Shard @p s's gateway refuses a descriptor: its TRS slice is full. */
+    bool
+    trsStalled(unsigned s) const
+    {
+        return shards_.at(s).trsStalls.open();
+    }
+
+    /** Cluster @p c's router holds a descriptor for a full gateway queue. */
+    bool
+    backpressured(unsigned c) const
+    {
+        return clusters_.at(c).gatewayBackpressure.open();
+    }
 
   private:
     struct TaskEntry
@@ -132,6 +159,10 @@ class ShardedPicos final : public sim::Ticked
         std::deque<std::uint32_t> freeList; ///< global ids of this slice
         Cycle retireBusyUntil = 0;
 
+        // Gateway stalls on this shard's live timeline (shardLive).
+        sim::StallSpan depTableStalls;
+        sim::StallSpan trsStalls;
+
         /** Incoming forwarded retirement notifications (dependent ids). */
         sim::TimedPort<std::uint32_t> notifyQueue;
     };
@@ -154,6 +185,14 @@ class ShardedPicos final : public sim::Ticked
         std::deque<std::uint32_t> readyPending;
         Cycle readyBusyUntil = 0;
         int readyIssuingId = -1;
+
+        /** Router dispatch refused by a full gateway queue, on this
+         *  cluster's live timeline (linkLive). */
+        sim::StallSpan gatewayBackpressure;
+
+        /** The cluster's manager: woken when a pop frees a queue it
+         *  found full. */
+        sim::Ticked *listener = nullptr;
     };
 
     class ClusterPort : public SchedulerIf
@@ -195,9 +234,6 @@ class ShardedPicos final : public sim::Ticked
     void tickRouters();
     void tickReadyIssue();
 
-    /** Earliest cycle at which internal progress is possible. */
-    Cycle nextDue() const;
-
     // -- Fault injection -------------------------------------------------
 
     /** True while the armed fault is striking at the current cycle. */
@@ -226,7 +262,38 @@ class ShardedPicos final : public sim::Ticked
     }
 
     /**
-     * Defer a nextDue() source belonging to a currently-down component:
+     * @p c on the live timeline of a component a fault may take down:
+     * the cycles of the fault window up to @p c are removed, because
+     * retrying every cycle would not retry while down. The identity when
+     * @p affected is false.
+     */
+    Cycle
+    liveCycle(Cycle c, bool affected) const
+    {
+        if (!affected || c < fault_.cycle ||
+            (fault_.until != 0 && fault_.until <= fault_.cycle))
+            return c;
+        const Cycle end =
+            fault_.until == 0 ? c + 1 : std::min(c + 1, fault_.until);
+        return c - (end - fault_.cycle);
+    }
+
+    Cycle
+    shardLive(Cycle c, unsigned s) const
+    {
+        return liveCycle(c, fault_.kind == sim::FaultKind::KillShard &&
+                                fault_.target == s);
+    }
+
+    Cycle
+    linkLive(Cycle c, unsigned cl) const
+    {
+        return liveCycle(c, fault_.kind == sim::FaultKind::StallLink &&
+                                fault_.target == cl);
+    }
+
+    /**
+     * Defer a nextSelfDue() source belonging to a currently-down component:
      * nothing will service it before the fault heals, so waking for it
      * earlier would be a pure polling storm (and, permanently down,
      * would keep an otherwise-idle system spinning to the cycle limit).
@@ -251,13 +318,10 @@ class ShardedPicos final : public sim::Ticked
     sim::Scalar *statRetirePackets_;
     sim::Scalar *statDepEdges_;
     sim::Scalar *statCrossShardEdges_;
-    sim::Scalar *statDepTableStalls_;
     sim::Scalar *statTasksProcessed_;
     sim::Scalar *statCrossShardNotifies_;
     sim::Scalar *statRetires_;
     sim::Scalar *statBadRetires_;
-    sim::Scalar *statTrsStalls_;
-    sim::Scalar *statGatewayBackpressure_;
     sim::Scalar *statReadyIssued_;
     sim::Scalar *statSteals_;
     sim::Distribution *statInFlight_;

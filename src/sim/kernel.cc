@@ -278,14 +278,22 @@ bool
 Simulator::run(DonePredicate done, Cycle limit)
 {
     stoppedByCheck_ = false;
-    if (mode_ == EvalMode::TickWorld)
-        return runTickWorld(done, limit);
+    const Cycle now = clock_.now();
+    const Cycle end = limit > kCycleNever - now ? kCycleNever : now + limit;
+    const bool ok = mode_ == EvalMode::TickWorld
+                        ? runTickWorld(done, end)
+                        : runEventDriven(done, end);
+    settleStats();
+    return ok;
+}
 
-    const Cycle start = clock_.now();
+bool
+Simulator::runEventDriven(const DonePredicate &done, Cycle end)
+{
     while (true) {
         if (done())
             return true;
-        if (clock_.now() - start >= limit)
+        if (clock_.now() >= end)
             return false;
         if (stopCheckDue()) {
             // Cooperative stop at the cycle-dispatch boundary: nothing
@@ -304,6 +312,8 @@ Simulator::run(DonePredicate done, Cycle limit)
             // simulation can never progress again.
             return done();
         }
+        if (stopsAtLimit(done, next, end))
+            return false;
         clock_.advanceTo(next);
     }
 }
@@ -311,17 +321,38 @@ Simulator::run(DonePredicate done, Cycle limit)
 void
 Simulator::runFor(Cycle n)
 {
-    if (mode_ == EvalMode::TickWorld) {
-        runForTickWorld(n);
-        return;
-    }
-
     const Cycle end = clock_.now() + n;
-    while (clock_.now() < end) {
-        evaluateDue();
-        const Cycle next = refreshNextEventCycle();
-        clock_.advanceTo(std::min(next == kCycleNever ? end : next, end));
+    if (mode_ == EvalMode::TickWorld) {
+        runForTickWorld(end);
+    } else {
+        while (clock_.now() < end) {
+            evaluateDue();
+            const Cycle next = refreshNextEventCycle();
+            clock_.advanceTo(
+                std::min(next == kCycleNever ? end : next, end));
+        }
     }
+    settleStats();
+}
+
+bool
+Simulator::stopsAtLimit(const DonePredicate &done, Cycle next, Cycle end)
+{
+    // A run stopped by its limit ends exactly there, never at a later
+    // cycle the clock happens to jump to: the end cycle (and counters
+    // settled at it) must not depend on which cycles are evaluated.
+    if (next <= end || done())
+        return false;
+    clock_.advanceTo(end);
+    return true;
+}
+
+void
+Simulator::settleStats()
+{
+    const Cycle boundary = clock_.now();
+    for (Ticked *t : ticked_)
+        t->settleStats(boundary);
 }
 
 // -- TickWorld reference implementation ---------------------------------
@@ -352,13 +383,12 @@ Simulator::nextWakeAll() const
 }
 
 bool
-Simulator::runTickWorld(const DonePredicate &done, Cycle limit)
+Simulator::runTickWorld(const DonePredicate &done, Cycle end)
 {
-    const Cycle start = clock_.now();
     while (true) {
         if (done())
             return true;
-        if (clock_.now() - start >= limit)
+        if (clock_.now() >= end)
             return false;
         if (stopCheckDue()) {
             stoppedByCheck_ = true;
@@ -378,14 +408,16 @@ Simulator::runTickWorld(const DonePredicate &done, Cycle limit)
             // simulation can never progress again.
             return done();
         }
-        clock_.advanceTo(std::max(wake, clock_.now() + 1));
+        const Cycle next = std::max(wake, clock_.now() + 1);
+        if (stopsAtLimit(done, next, end))
+            return false;
+        clock_.advanceTo(next);
     }
 }
 
 void
-Simulator::runForTickWorld(Cycle n)
+Simulator::runForTickWorld(Cycle end)
 {
-    const Cycle end = clock_.now() + n;
     while (clock_.now() < end) {
         evaluateAll();
         Cycle next = clock_.now() + 1;

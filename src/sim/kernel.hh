@@ -119,8 +119,10 @@ class Simulator
 
     /**
      * Run until the predicate holds (checked once per evaluated cycle) or
-     * the cycle limit is exceeded. The predicate must be a small
-     * trivially-copyable callable (it is stored inline, never allocated).
+     * @p limit cycles have passed; a run stopped by the limit ends with
+     * the clock exactly @p limit cycles after its start. The predicate
+     * must be a small trivially-copyable callable (it is stored inline,
+     * never allocated).
      *
      * @return true if the predicate was satisfied, false on cycle-limit.
      */
@@ -216,9 +218,21 @@ class Simulator
      */
     Cycle refreshNextEventCycle();
 
+    /** The event-driven run loop behind run(). */
+    bool runEventDriven(const DonePredicate &done, Cycle end);
+
+    /**
+     * Whether a run ending at @p end stops before the clock jumps to
+     * @p next; if so the clock is left at exactly @p end.
+     */
+    bool stopsAtLimit(const DonePredicate &done, Cycle next, Cycle end);
+
+    /** Call every component's settleStats() at the current boundary. */
+    void settleStats();
+
     // -- TickWorld reference implementation --
-    bool runTickWorld(const DonePredicate &done, Cycle limit);
-    void runForTickWorld(Cycle n);
+    bool runTickWorld(const DonePredicate &done, Cycle end);
+    void runForTickWorld(Cycle end);
     void evaluateAll();
     bool anyActive() const;
     Cycle nextWakeAll() const;
@@ -267,6 +281,7 @@ class Simulator
         if (cpEvery_ == 0 || now < cpNext_)
             return;
         const Cycle label = now - now % cpEvery_;
+        settleStats();
         cpHook_(label);
         cpNext_ = label + cpEvery_;
     }

@@ -37,6 +37,68 @@ class Scalar
     double value_ = 0.0;
 };
 
+/**
+ * A per-cycle stall counter for a component that sleeps through its
+ * stalls instead of retrying every cycle. It counts what retrying every
+ * cycle would have counted: one per cycle from the first failed attempt
+ * up to the cycle before the attempt that succeeds.
+ *
+ * Positions are cycles on the owner's live timeline: the plain clock, or
+ * the clock with the cycles of a fault window removed for a component
+ * that does not retry while it is down.
+ *
+ *  - fail(p): an attempt at p failed; counts every position since the
+ *    previous count, p included.
+ *  - clear(p): an attempt at p succeeded; counts the positions before p
+ *    not yet counted and closes the span.
+ *  - settle(p): the counter is about to be read; counts every position
+ *    through p, leaving the span open.
+ */
+class StallSpan
+{
+  public:
+    explicit StallSpan(Scalar &stat) : stat_(&stat) {}
+
+    bool open() const { return open_; }
+
+    void
+    fail(Cycle p)
+    {
+        if (!open_) {
+            open_ = true;
+            through_ = p - 1;
+        }
+        *stat_ += static_cast<double>(p - through_);
+        through_ = p;
+    }
+
+    void
+    clear(Cycle p)
+    {
+        if (!open_)
+            return;
+        *stat_ += static_cast<double>(p - 1 - through_);
+        open_ = false;
+    }
+
+    void
+    settle(Cycle p)
+    {
+        if (!open_ || p <= through_)
+            return;
+        *stat_ += static_cast<double>(p - through_);
+        through_ = p;
+    }
+
+    /** Forget an open span without counting it (component reset). */
+    void reset() { open_ = false; }
+
+  private:
+    Scalar *stat_;
+    Cycle through_ = 0; ///< last position already counted
+    bool open_ = false;
+};
+
 /** A simple sample-statistics accumulator (count/sum/min/max/mean). */
 class Distribution
 {

@@ -25,6 +25,9 @@ class Simulator;
  *
  *  - after every tick() the kernel re-arms the component at its own next
  *    due cycle (now + 1 while active(), wakeAt() otherwise);
+ *  - a component is due only for work its own tick() can do, or for a
+ *    future cycle at which a timed queue makes an element visible; it
+ *    never re-arms to poll for state only another component can change;
  *  - any state mutation from outside the component's own tick() — a
  *    producer pushing into one of its queues, a consumer freeing space —
  *    must be accompanied by a requestWake() so the sleeping component is
@@ -77,6 +80,16 @@ class Ticked
      * stimulus arrives).
      */
     virtual Cycle wakeAt() const { return kCycleNever; }
+
+    /**
+     * Bring counters the component accumulates lazily (sim::StallSpan)
+     * up to date through cycle @p boundary - 1, as if it had been
+     * evaluated every cycle. The kernel calls this wherever statistics
+     * may be read: when run()/runFor() return and before a checkpoint
+     * hook fires, both at a dispatch boundary where nothing of
+     * @p boundary has been evaluated yet.
+     */
+    virtual void settleStats(Cycle boundary) { (void)boundary; }
 
     /**
      * Ask the owning kernel to evaluate this component at (or after)

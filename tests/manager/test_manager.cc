@@ -199,3 +199,29 @@ TEST_F(ManagerTest, SubmitThreeRequiresThreeSlots)
     EXPECT_FALSE(mgr_.submitThreePackets(3, 1, 2, 3));
     ASSERT_TRUE(mgr_.submitPacket(3, 0)); // single packets still fit
 }
+
+TEST_F(ManagerTest, RequestBehindGrantedBurstSleepsUntilRelease)
+{
+    TaskDescriptor desc;
+    desc.swId = 9;
+    const auto pkts = encodeNonZero(desc);
+    ASSERT_EQ(pkts.size(), 3u);
+    // Core 0 wins the port but has not produced its packets yet; core 1
+    // queues a Submission Request behind the granted burst.
+    ASSERT_TRUE(mgr_.submissionRequest(0, 3));
+    step(5);
+    ASSERT_EQ(sim_.stats().scalarValue("manager.burstsGranted"), 1.0);
+    ASSERT_TRUE(mgr_.submissionRequest(1, 3));
+    step(5);
+    const Cycle next = sim_.clock().now() + 1;
+    EXPECT_GT(mgr_.nextSelfDue(next), next);
+    const std::uint64_t ticks = sim_.componentTicks();
+    step(1000);
+    EXPECT_EQ(sim_.componentTicks(), ticks);
+
+    // The burst's packets wake the manager; streaming and padding the
+    // burst releases the port, and the queued request is granted.
+    ASSERT_TRUE(mgr_.submitThreePackets(0, pkts[0], pkts[1], pkts[2]));
+    step(200);
+    EXPECT_EQ(sim_.stats().scalarValue("manager.burstsGranted"), 2.0);
+}

@@ -8,6 +8,7 @@
 #include "picos/picos.hh"
 #include "rocc/task_packets.hh"
 #include "sim/clock.hh"
+#include "sim/kernel.hh"
 #include "sim/stats.hh"
 
 using namespace picosim;
@@ -335,4 +336,138 @@ TEST(PicosCapacity, DepTableConflictStallsNotCorrupts)
     }
     EXPECT_EQ(retired, 3u);
     EXPECT_GE(stats.scalarValue("picos.depTableStalls"), 1.0);
+}
+
+namespace
+{
+
+/**
+ * Picos on the event-driven kernel, alone: the kernel's tick count shows
+ * exactly when Picos is evaluated.
+ */
+class PicosWake
+{
+  public:
+    explicit PicosWake(const PicosParams &p)
+        : picos(sim.clock(), p, sim.stats())
+    {
+        sim.addTicked(&picos);
+    }
+
+    void
+    submit(std::uint64_t sw_id, std::vector<TaskDep> deps)
+    {
+        TaskDescriptor desc;
+        desc.swId = sw_id;
+        desc.deps = std::move(deps);
+        auto pkts = encodeNonZero(desc);
+        pkts.resize(kDescriptorPackets, 0);
+        for (std::uint32_t p : pkts) {
+            while (!picos.subPush(p))
+                sim.runFor(1);
+        }
+    }
+
+    /** Pop one ready tuple (its packets must be visible). */
+    std::uint32_t
+    popTuple()
+    {
+        EXPECT_TRUE(picos.readyValid());
+        const std::uint32_t id = picos.readyPop();
+        picos.readyPop();
+        picos.readyPop();
+        return id;
+    }
+
+    /** True when Picos re-arms for the next cycle on its own. */
+    bool
+    selfDueNext() const
+    {
+        const Cycle next = sim.clock().now() + 1;
+        return picos.nextSelfDue(next) <= next;
+    }
+
+    /** Run @p n cycles and return how many times Picos was ticked. */
+    std::uint64_t
+    ticksOver(Cycle n)
+    {
+        const std::uint64_t before = sim.componentTicks();
+        sim.runFor(n);
+        return sim.componentTicks() - before;
+    }
+
+    double
+    stat(const char *name)
+    {
+        return sim.stats().scalarValue(name);
+    }
+
+    sim::Simulator sim;
+    Picos picos;
+};
+
+} // namespace
+
+TEST(PicosNoPoll, FullReadyQueueSleepsUntilReadyPop)
+{
+    PicosWake w(PicosParams{});
+    // 24-packet ready queue: eight tuples fit, the ninth waits for room.
+    for (std::uint64_t i = 0; i < 10; ++i)
+        w.submit(i, {});
+    w.sim.runFor(2000);
+    ASSERT_EQ(w.stat("picos.readyIssued"), 8.0);
+    EXPECT_FALSE(w.selfDueNext());
+    EXPECT_EQ(w.ticksOver(1000), 0u);
+
+    w.popTuple(); // frees room for one tuple: Picos is woken
+    EXPECT_GT(w.ticksOver(100), 0u);
+    EXPECT_EQ(w.stat("picos.readyIssued"), 9.0);
+}
+
+TEST(PicosNoPoll, StalledGatewaySleepsUntilRetirement)
+{
+    PicosParams p;
+    p.dctSets = 1;
+    p.dctWays = 1;
+    PicosWake w(p);
+    w.submit(1, {{0x100, Dir::Out}});
+    w.submit(2, {{0x200, Dir::Out}}); // needs the way task 1 holds
+    w.sim.runFor(500);
+    const std::uint32_t first = w.popTuple();
+    w.sim.runFor(10);
+    ASSERT_TRUE(w.picos.depTableStalled());
+    EXPECT_FALSE(w.selfDueNext());
+
+    // Asleep, yet the counter reads what retrying every cycle counts.
+    const double before = w.stat("picos.depTableStalls");
+    EXPECT_EQ(w.ticksOver(1000), 0u);
+    EXPECT_EQ(w.stat("picos.depTableStalls"), before + 1000.0);
+
+    ASSERT_TRUE(w.picos.retirePush(first));
+    w.sim.runFor(200);
+    EXPECT_FALSE(w.picos.depTableStalled());
+    EXPECT_EQ(w.picos.tasksProcessed(), 2u);
+}
+
+TEST(PicosNoPoll, TrsStallSleepsUntilRetirement)
+{
+    PicosParams p;
+    p.trsEntries = 1;
+    PicosWake w(p);
+    w.submit(1, {});
+    w.submit(2, {}); // parks in the submission queue: no TRS entry
+    w.sim.runFor(500);
+    const std::uint32_t first = w.popTuple();
+    w.sim.runFor(10);
+    ASSERT_TRUE(w.picos.trsStalled());
+    EXPECT_FALSE(w.selfDueNext());
+
+    const double before = w.stat("picos.trsStalls");
+    EXPECT_EQ(w.ticksOver(1000), 0u);
+    EXPECT_EQ(w.stat("picos.trsStalls"), before + 1000.0);
+
+    ASSERT_TRUE(w.picos.retirePush(first));
+    w.sim.runFor(200);
+    EXPECT_FALSE(w.picos.trsStalled());
+    EXPECT_EQ(w.picos.tasksProcessed(), 2u);
 }

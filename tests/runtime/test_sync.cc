@@ -13,8 +13,10 @@ namespace
 
 struct LockFixture : ::testing::Test
 {
+    LockFixture() { lock.lineAddr = 0x3000'0000; }
+
     CostModel cm;
-    SimLock lock{false, 0x3000'0000, 0, 0};
+    SimLock lock;
 };
 
 } // namespace

@@ -176,8 +176,9 @@ TEST(TaskTrace, SerialTracesEveryTaskInProgramOrder)
         EXPECT_EQ(r.core, 0u) << i;
         EXPECT_GT(r.dispatched, r.submitted) << i; // the call overhead
         EXPECT_EQ(r.retired, r.dispatched + 300) << i;
-        if (i > 0)
+        if (i > 0) {
             EXPECT_EQ(r.submitted, trace.record(i - 1).retired) << i;
+        }
     }
     EXPECT_EQ(trace.record(prog.numTasks() - 1).retired, run.result.cycles);
 }

@@ -173,8 +173,9 @@ TEST(JobManager, CancelWhileRunningStopsAtABoundary)
     const std::vector<RunRow> rows = mgr.runRows(id);
     ASSERT_EQ(rows.size(), 2u);
     for (const RunRow &row : rows) {
-        if (row.done)
+        if (row.done) {
             EXPECT_NE(row.result.status, rt::RunStatus::Error);
+        }
     }
 }
 

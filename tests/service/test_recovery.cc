@@ -224,8 +224,9 @@ TEST(Recovery, JobWithARemovedKeyStaysOnDisk)
         EXPECT_FALSE(mgr.status(id).has_value());
         EXPECT_EQ(Journal::readAll(dir, nullptr), old)
             << "restart " << restart;
-        if (restart == 1) // its id is never handed out again
+        if (restart == 1) { // its id is never handed out again
             EXPECT_EQ(mgr.submit(singleRunJob(quickSpec())), id + 1);
+        }
     }
 }
 

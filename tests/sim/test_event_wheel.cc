@@ -36,7 +36,10 @@ class Recorder : public Ticked
   public:
     Recorder(const Clock &clk, unsigned id,
              std::vector<std::pair<unsigned, Cycle>> &journal)
-        : Ticked("r" + std::to_string(id)), clk_(clk), id_(id),
+        // append(), not `"r" + std::to_string(id)`: GCC 12 reports a
+        // false -Wrestrict through operator+(const char *, string &&).
+        : Ticked(std::string("r").append(std::to_string(id))), clk_(clk),
+          id_(id),
           journal_(journal)
     {
     }

@@ -264,7 +264,10 @@ TEST(EventKernel, SkipsQuiescentComponents)
     sim.addTicked(&busy);
     for (int i = 0; i < 9; ++i) {
         sleepers.push_back(std::make_unique<WakeRecorder>(
-            sim.clock(), "s" + std::to_string(i), journal));
+            // append(), not `"s" + std::to_string(i)`: GCC 12 reports a
+            // false -Wrestrict through operator+(const char *, string &&).
+            sim.clock(), std::string("s").append(std::to_string(i)),
+            journal));
         sim.addTicked(sleepers.back().get());
     }
     EXPECT_TRUE(sim.run([&] { return busy.remaining() == 0; }, 10'000));

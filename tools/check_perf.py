@@ -6,8 +6,12 @@ Fails (exit 1) when:
   * any row reports identical: false (the event kernel diverged from the
     tick-the-world reference, or the pooled Figure 9 sweep diverged from
     the serial one — a correctness bug, never acceptable);
-  * a mode_compare row's wallSpeedup regressed more than the tolerance
-    below its baseline value;
+  * a mode_compare row's event-kernel work rose above its baseline:
+    eventTicks (component evaluations) or eventEvaluatedCycles (cycles
+    at which anything was evaluated). Both are deterministic counts of
+    the simulated schedule, identical on every host and build type, so
+    the comparison is exact: any increase fails, whatever the tolerance.
+    A decrease passes with a note to re-record the baseline;
   * a batch_throughput poolSpeedup regressed more than the tolerance
     below baseline — but ONLY when both the fresh row and the baseline
     row were measured with hostConcurrency > 1. On a single-hardware-thread host a worker pool cannot beat 1x
@@ -18,12 +22,11 @@ Rows stamped with a "spec" field (the serialized RunSpec that produced
 the measurement) are reported with a replay hint on failure: feed the
 spec back through `picosim_run --spec` to reproduce the exact run.
 
-Wall-clock seconds are machine-dependent, so the gate is on wallSpeedup —
-the event-driven/tick-world ratio measured within one process on one
-machine, which transfers across hosts far better than absolute times.
-The tolerance is generous (CI machines are noisy neighbours), but a real
-scheduler regression — an O(log n) structure creeping back, a per-event
-allocation — shifts the ratio well past it.
+A mode_compare row's wallSpeedup (event-driven vs tick-the-world wall
+time) is printed but not gated: the rows run for a few milliseconds, so
+the ratio is mostly noise. What the event kernel saves is gated exactly
+through the work counters; host cost per unit of work is measured by
+perfbench (BENCHMARK.json) on runs long enough to time.
 
 With --expect-scaling[=FLOOR] the gate additionally enforces an
 ABSOLUTE floor (default 1.05x) on every fresh poolSpeedup row: a
@@ -92,17 +95,24 @@ def main():
         if base is None:
             print(f"note: no baseline for '{label}' (new row?) — skipped")
             continue
-        got = float(row["wallSpeedup"])
-        want = float(base["wallSpeedup"])
-        floor = want * (1.0 - tolerance)
-        status = "ok" if got >= floor else "REGRESSION"
-        print(f"{label:32s} wallSpeedup {got:6.2f}x "
-              f"(baseline {want:.2f}x, floor {floor:.2f}x) {status}")
-        if got < floor:
-            failures.append(
-                f"'{label}' wallSpeedup {got:.2f}x fell more than "
-                f"{tolerance:.0%} below the baseline {want:.2f}x"
-                + replay_hint(row))
+        print(f"{label:32s} wallSpeedup {float(row['wallSpeedup']):6.2f}x "
+              "(reported, not gated)")
+        for field in ("eventTicks", "eventEvaluatedCycles"):
+            if field not in row or field not in base:
+                failures.append(f"'{label}' lacks {field} in the fresh "
+                                "row or the baseline")
+                continue
+            got, want = int(row[field]), int(base[field])
+            if got > want:
+                status = "REGRESSION"
+                failures.append(
+                    f"'{label}' {field} {got} rose above the baseline "
+                    f"{want}" + replay_hint(row))
+            elif got < want:
+                status = "ok (below baseline: re-record it)"
+            else:
+                status = "ok"
+            print(f"{label:32s} {field} {got} (baseline {want}) {status}")
 
     def host_concurrency(row):
         # Rows written before hostConcurrency stamping count as

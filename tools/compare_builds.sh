@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Byte-compare two picosim builds on a fixed set of runs.
 #
-# Usage: tools/compare_builds.sh OLD_BIN_DIR NEW_BIN_DIR
+# Usage: tools/compare_builds.sh [--kernel-may-fall] OLD_BIN_DIR NEW_BIN_DIR
 #
 # Runs each configuration below with OLD_BIN_DIR/picosim_run and
 # NEW_BIN_DIR/picosim_run (always with --stats, so the full stat dump is
@@ -9,14 +9,25 @@
 # trace file. Prints one line per configuration and exits non-zero when
 # any of them differs. Use it to show that a refactor left simulated
 # timing bit-identical.
+#
+# --kernel-may-fall: for a change to the kernel's work, not to the
+# model. The "kernel :" line (component ticks and evaluated cycles) is
+# left out of the stdout comparison, and the configuration differs
+# instead when the new build performs more component ticks.
 set -u
 
+kernel_may_fall=0
+if [ "${1:-}" = --kernel-may-fall ]; then
+    kernel_may_fall=1
+    shift
+fi
 if [ $# -ne 2 ]; then
-    echo "usage: $0 OLD_BIN_DIR NEW_BIN_DIR" >&2
+    echo "usage: $0 [--kernel-may-fall] OLD_BIN_DIR NEW_BIN_DIR" >&2
     exit 2
 fi
-old_run="$1/picosim_run"
-new_run="$2/picosim_run"
+# Absolute paths: every run below starts in its own scratch directory.
+old_run="$(cd "$1" 2>/dev/null && pwd)/picosim_run"
+new_run="$(cd "$2" 2>/dev/null && pwd)/picosim_run"
 for bin in "$old_run" "$new_run"; do
     if [ ! -x "$bin" ]; then
         echo "error: $bin is not an executable" >&2
@@ -41,6 +52,15 @@ configs+=(
     "--workload=task-chain --wl.tasks=64 --mem=timed --runtime=nanos-sw"
     "--workload=task-tree --runtime=phentos --trace=trace.json"
     "--workload=task-tree --runtime=nanos-rv --trace=trace.json"
+    # Scheduler stalls: dependence-table and TRS stalls in Figure 9
+    # inputs, one cut by a cycle limit mid-stall, one under TickWorld.
+    "--workload=blackscholes --wl.options=4096 --wl.block=8 --runtime=phentos"
+    "--workload=blackscholes --wl.options=4096 --wl.block=8 --runtime=nanos-rv --cycle-limit=200000"
+    "--workload=sparselu --wl.nb=12 --wl.bs=48 --runtime=phentos"
+    "--workload=sparselu --wl.nb=12 --wl.bs=24 --runtime=phentos --mode=tickworld"
+    # Sharded fabric under both fault kinds.
+    "--workload=task-free --wl.tasks=2000 --wl.payload=500 --cores=16 --sched-shards=4 --clusters=4 --fault.kind=kill-shard --fault.cycle=20000 --fault.until=120000 --fault.target=0"
+    "--workload=task-chain --cores=16 --sched-shards=4 --clusters=4 --fault.kind=stall-link --fault.cycle=20000 --fault.until=90000 --fault.target=0"
 )
 
 work=$(mktemp -d)
@@ -59,6 +79,23 @@ for cfg in "${configs[@]}"; do
             "$bin" $cfg --stats > stdout 2> stderr; echo $? > status)
     done
     diff=""
+    ticks=""
+    if [ "$kernel_may_fall" -eq 1 ]; then
+        for side in old new; do
+            grep -m1 '^kernel ' "$work/$side/stdout" |
+                grep -o '^kernel *: *[0-9]*' | grep -o '[0-9]*$' \
+                > "$work/$side/ticks"
+            grep -v '^kernel ' "$work/$side/stdout" > "$work/$side/model"
+            mv "$work/$side/model" "$work/$side/stdout"
+        done
+        old_ticks=$(cat "$work/old/ticks")
+        new_ticks=$(cat "$work/new/ticks")
+        ticks=", ticks ${old_ticks:-?} -> ${new_ticks:-?}"
+        if [ -n "$old_ticks" ] && [ -n "$new_ticks" ] &&
+            [ "$new_ticks" -gt "$old_ticks" ]; then
+            diff="$diff kernel-ticks-rose"
+        fi
+    fi
     for f in status stdout stderr trace.json; do
         [ -e "$work/old/$f" ] || [ -e "$work/new/$f" ] || continue
         cmp -s "$work/old/$f" "$work/new/$f" || diff="$diff $f"
@@ -69,7 +106,7 @@ for cfg in "${configs[@]}"; do
     else
         cycles=$(grep -m1 -o 'cycles *: *[0-9]*' "$work/new/stdout" |
                  grep -o '[0-9]*$')
-        echo "same $cfg (cycles ${cycles:-?}, exit $(cat "$work/new/status"))"
+        echo "same $cfg (cycles ${cycles:-?}, exit $(cat "$work/new/status")$ticks)"
     fi
 done
 
