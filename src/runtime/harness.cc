@@ -122,96 +122,44 @@ finishStatus(cpu::System &sys, const RunControls &ctl, bool completed,
     return completed ? RunStatus::Ok : RunStatus::CycleLimit;
 }
 
-/** Outcome of the checkpoint machinery for one run, written from the
- *  simulation thread by the hook armCheckpoints installs and read by
- *  the run epilogue. */
-struct CheckpointOutcome
-{
-    std::uint64_t taken = 0;   ///< checkpoints fired this run
-    bool mismatch = false;     ///< resume digest differed, or hook threw
-    std::string message;       ///< human-readable mismatch description
-};
-
 /**
- * Install the checkpoint hook on @p sys from @p ctl: periodic
- * checkpoints every ctl.checkpointEvery cycles and/or resume
- * verification against ctl.resumeFrom (when resuming without periodic
- * checkpoints, the stride is armed at exactly the resume cycle so the
- * replay re-crosses the recorded boundary — see DESIGN.md for why that
- * reproduces the original label). Returns the shared outcome record;
- * never null. No-op (hookless) when neither field is set.
+ * Install the cut hook on @p sys from @p ctl: every ctl.checkpointEvery
+ * cycles, hand the boundary and the full stat dump to ctl.onCheckpoint.
+ * Returns where a failing callback leaves its message for the run
+ * epilogue (empty = no failure); never null. No-op (hookless) when
+ * either field is unset.
  */
-std::shared_ptr<CheckpointOutcome>
+std::shared_ptr<std::string>
 armCheckpoints(cpu::System &sys, const RunControls &ctl)
 {
-    auto out = std::make_shared<CheckpointOutcome>();
-
-    // Resume without periodic checkpoints: arm the stride at exactly
-    // the recorded cut so the replay re-fires at the original boundary
-    // (the first firing at or past cycle C reproduces label C — the
-    // dispatch schedule is deterministic, and C is itself a label of the
-    // original run; see DESIGN.md).
-    const Cycle every =
-        ctl.checkpointEvery != 0
-            ? ctl.checkpointEvery
-            : (ctl.resumeFrom != nullptr && ctl.resumeFrom->cycle != 0
-                   ? ctl.resumeFrom->cycle
-                   : 0);
-    if (every == 0)
-        return out;
+    auto failure = std::make_shared<std::string>();
+    if (ctl.checkpointEvery == 0 || !ctl.onCheckpoint)
+        return failure;
 
     cpu::System *sysp = &sys;
-    const sim::Checkpoint *resume = ctl.resumeFrom;
-    const bool dumps = ctl.checkpointDumps;
     const auto cb = ctl.onCheckpoint;
     sys.simulator().setCheckpointHook(
         // The hook must not throw (an exception would escape the run
         // loop and lose the run's result; see sim::CheckpointHook), so
         // every failure path — user callback throw, OOM in the dump —
-        // is converted into a mismatch record the run epilogue turns
-        // into RunStatus::Error.
-        [out, sysp, resume, dumps, cb](Cycle boundary) noexcept {
+        // is recorded for the run epilogue to turn into
+        // RunStatus::Error.
+        [failure, sysp, cb](Cycle boundary) noexcept {
+            if (!failure->empty())
+                return;
             try {
                 std::ostringstream os;
                 sysp->stats().dump(os);
                 sysp->memory().stats().dump(os);
-                std::string dump = os.str();
-
-                sim::Checkpoint cp;
-                cp.cycle = boundary;
-                cp.seq = ++out->taken;
-                cp.digest = sim::fnv1a(dump);
-                if (dumps)
-                    cp.statDump = std::move(dump);
-
-                if (resume != nullptr && boundary == resume->cycle &&
-                    cp.digest != resume->digest && !out->mismatch) {
-                    out->mismatch = true;
-                    out->message =
-                        "checkpoint digest mismatch at cycle " +
-                        std::to_string(boundary) +
-                        ": the replayed run diverged from the "
-                        "checkpointed one (spec, binary or "
-                        "environment changed since the checkpoint "
-                        "was taken)";
-                }
-                if (cb)
-                    cb(cp);
+                cb(boundary, os.str());
             } catch (const std::exception &e) {
-                if (!out->mismatch) {
-                    out->mismatch = true;
-                    out->message =
-                        std::string("checkpoint hook failed: ") + e.what();
-                }
+                *failure = std::string("checkpoint hook failed: ") + e.what();
             } catch (...) {
-                if (!out->mismatch) {
-                    out->mismatch = true;
-                    out->message = "checkpoint hook failed";
-                }
+                *failure = "checkpoint hook failed";
             }
         },
-        every);
-    return out;
+        ctl.checkpointEvery);
+    return failure;
 }
 
 } // namespace
@@ -256,7 +204,7 @@ runInspected(RuntimeKind kind, const Program &prog,
 
     runtime.install(sys, prog);
     armControls(sys, ctl, fault);
-    const auto cpState = armCheckpoints(sys, ctl);
+    const auto cutFailure = armCheckpoints(sys, ctl);
 
     const bool ok = sys.run(params.cycleLimit);
 
@@ -272,11 +220,9 @@ runInspected(RuntimeKind kind, const Program &prog,
     res.workerSubmits = runtime.tasksSubmittedByWorkers();
     res.inlineTasks = runtime.tasksExecutedInline();
     fillContentionStats(res, sys);
-    if (ctl.resumeFrom != nullptr)
-        res.resumedFromCycle = ctl.resumeFrom->cycle;
-    if (cpState->mismatch) {
+    if (!cutFailure->empty()) {
         res.status = RunStatus::Error;
-        res.error = cpState->message;
+        res.error = *cutFailure;
         res.completed = false;
     }
     if (res.status == RunStatus::CycleLimit) {

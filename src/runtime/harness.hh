@@ -13,13 +13,13 @@
 #include <functional>
 #include <memory>
 #include <optional>
+#include <string>
 #include <string_view>
 
 #include "cpu/system.hh"
 #include "runtime/cancel.hh"
 #include "runtime/cost_model.hh"
 #include "runtime/runtime.hh"
-#include "sim/checkpoint.hh"
 
 namespace picosim::rt
 {
@@ -46,33 +46,18 @@ struct RunControls
     /** Absolute wall-clock cutoff; unset = no time limit. */
     std::optional<std::chrono::steady_clock::time_point> deadline;
 
-    // -- Checkpoint/resume (deterministic fast-forward replay) ----------
+    // -- Checkpoint cuts (a debugging instrument: picosim_bisect) ------
 
-    /** >0: take a checkpoint roughly every N simulated cycles, at the
+    /** >0: take a cut roughly every N simulated cycles, at the
      *  deterministic boundaries sim::Simulator::setCheckpointHook
-     *  documents. 0 = no periodic checkpoints. */
+     *  documents. 0 = no cuts. */
     Cycle checkpointEvery = 0;
 
-    /** Capture the full stat dump into each Checkpoint::statDump (for
-     *  divergence diagnostics); off by default — the digest is enough
-     *  for the resume-verification contract. */
-    bool checkpointDumps = false;
-
-    /** Invoked for every checkpoint taken (digest already computed).
-     *  Called from the simulation thread; must be cheap-ish and must
-     *  not call back into the running System. Exceptions are caught
-     *  and fail the run as RunStatus::Error. */
-    std::function<void(const sim::Checkpoint &)> onCheckpoint;
-
-    /**
-     * Resume cut to verify against: re-execution replays the spec from
-     * cycle 0 (determinism makes that equivalent to a state restore),
-     * and when the replay crosses resumeFrom->cycle the live digest is
-     * compared with the recorded one. A mismatch fails the run loudly
-     * (RunStatus::Error) instead of silently producing a different
-     * experiment. The pointee must outlive the run.
-     */
-    const sim::Checkpoint *resumeFrom = nullptr;
+    /** Invoked at every cut with the boundary label and the full stat
+     *  dump (system + memory) at that point. Called from the
+     *  simulation thread; must not call back into the running System.
+     *  Exceptions are caught and fail the run as RunStatus::Error. */
+    std::function<void(Cycle, const std::string &)> onCheckpoint;
 
     bool
     cancelRequested() const

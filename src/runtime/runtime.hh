@@ -79,7 +79,7 @@ enum class RunStatus : std::uint8_t
     Cancelled,  ///< stopped by a CancelToken
     TimedOut,   ///< stopped by a wall-clock deadline
     Error,      ///< run threw; see RunResult::error
-    Dropped,    ///< fault-injection drop-job fired; run is resumable
+    Dropped,    ///< fault-injection drop-job fired; run can be re-run
 };
 
 constexpr const char *
@@ -136,15 +136,6 @@ struct RunResult
     // -- Nested tasking (zero for flat programs) --
     std::uint64_t workerSubmits = 0; ///< tasks submitted from worker harts
     std::uint64_t inlineTasks = 0;   ///< saturation-fallback executions
-
-    /**
-     * Non-zero when the run was resumed from a checkpoint: the boundary
-     * cycle the replay was verified against. Deliberately NOT part of
-     * the CLI report — a resumed run's printed output must stay
-     * byte-identical to an uninterrupted one (that equality IS the
-     * resume contract); the field rides the wire JSON for provenance.
-     */
-    Cycle resumedFromCycle = 0;
 
     double
     speedup() const

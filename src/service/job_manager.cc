@@ -75,18 +75,12 @@ rowRecord(std::uint64_t id, std::size_t run, const RunRow &row)
     return j;
 }
 
-/** Journal record for one durable checkpoint of a run. */
+/** Journal record naming the build that compacted the journal. */
 std::string
-checkpointRecord(std::uint64_t id, std::size_t run,
-                 const sim::Checkpoint &cp)
+buildRecord()
 {
-    std::string j = jsonHead("checkpoint", id);
-    jsonNum(j, "run", run);
-    jsonNum(j, "cycle", cp.cycle);
-    jsonNum(j, "seq", cp.seq);
-    jsonNum(j, "digest", cp.digest);
-    j += '}';
-    return j;
+    return "{\"type\":\"build\",\"stamp\":" +
+           spec::jsonString(buildStamp()) + "}";
 }
 
 /** Append from a worker path: a full disk must not kill the daemon (or
@@ -124,11 +118,6 @@ struct JobManager::Rec
     std::optional<SteadyClock::time_point> deadline;
     std::uint64_t startSeq = 0;
     std::string error;
-
-    /** Per-run resume cut recovered from the journal (cycle 0 = none).
-     *  Sized with rows and never resized, so handing its elements'
-     *  addresses to RunControls::resumeFrom is safe for the run. */
-    std::vector<sim::Checkpoint> resumeCp;
 
     /** Journal record re-creating this job on recovery. Stores the
      *  RESOLVED timeout/in-flight limits, so a restart with different
@@ -187,7 +176,6 @@ JobManager::JobManager() : JobManager(Params{}) {}
 JobManager::JobManager(const Params &params)
     : defaultTimeoutSec_(params.defaultTimeoutSec),
       defaultMaxInFlight_(params.maxInFlightPerJob),
-      checkpointEvery_(params.checkpointEvery),
       queue_(params.maxQueued), paused_(params.startPaused)
 {
     if (!params.journalDir.empty()) {
@@ -254,7 +242,6 @@ JobManager::submit(JobSpec spec)
     auto rec = std::make_unique<Rec>();
     rec->id = ++lastId_;
     rec->rows.resize(spec.runs.size());
-    rec->resumeCp.resize(spec.runs.size());
     rec->timeoutSec =
         spec.timeoutSec > 0.0 ? spec.timeoutSec : defaultTimeoutSec_;
     rec->maxInFlight =
@@ -522,24 +509,7 @@ JobManager::workerLoop()
         rt::RunControls ctl;
         ctl.cancel = &rec->token;
         ctl.deadline = rec->deadline;
-
-        // Checkpoint plumbing. lastCp tracks the newest cut on this
-        // worker's stack (for the drop-job retry below); a journaled
-        // manager also makes every cut durable from the sim thread.
-        sim::Checkpoint lastCp;
-        bool haveCp = false;
         Journal *const jp = journal_.get();
-        if (jp != nullptr) {
-            ctl.checkpointEvery = checkpointEvery_;
-            ctl.onCheckpoint = [&lastCp, &haveCp, jp, jobId,
-                                idx](const sim::Checkpoint &cp) {
-                lastCp = cp;
-                haveCp = true;
-                appendQuiet(jp, checkpointRecord(jobId, idx, cp));
-            };
-            if (rec->resumeCp[idx].cycle != 0)
-                ctl.resumeFrom = &rec->resumeCp[idx];
-        }
 
         lk.unlock();
         const auto execute = [capture](const spec::RunSpec &sp,
@@ -569,22 +539,15 @@ JobManager::workerLoop()
         };
         RunRow row = execute(runSpec, ctl);
         if (row.result.status == rt::RunStatus::Dropped) {
-            // The drop-job fault killed the run mid-flight. Re-dispatch
-            // it once with the fault disarmed, resuming from its last
-            // checkpoint when one was taken — the crash-recovery path
-            // in miniature, exercised per run.
+            // The drop-job fault killed the run mid-flight. Re-run it
+            // once from cycle zero with the fault disarmed — the
+            // crash-recovery path in miniature, exercised per run.
             spec::RunSpec retry = runSpec;
             retry.faultKind = sim::FaultKind::None;
             retry.faultCycle = 0;
             retry.faultUntil = 0;
             retry.faultTarget = 0;
-            rt::RunControls rctl = ctl;
-            sim::Checkpoint resumePoint;
-            if (haveCp) {
-                resumePoint = lastCp;
-                rctl.resumeFrom = &resumePoint;
-            }
-            row = execute(retry, rctl);
+            row = execute(retry, ctl);
         }
         lk.lock();
 
@@ -596,8 +559,7 @@ JobManager::workerLoop()
         if (interrupted) {
             // Shutdown stopped this run, not the user: the row stays
             // unfinished and unjournaled, so a manager restarted on
-            // the same journal re-dispatches it, resuming from the
-            // last durable checkpoint.
+            // the same journal re-runs it from cycle zero.
             if (idx < rec->nextRun)
                 rec->nextRun = idx;
         } else {
@@ -620,7 +582,13 @@ JobManager::workerLoop()
  *  skipped with a loud stderr warning — never silently. A job whose
  *  submit record cannot be replayed (e.g. its spec names a removed
  *  key) is not recovered, but all of its records are carried through
- *  compaction verbatim, so its stored results stay on disk. */
+ *  compaction verbatim, so its stored results stay on disk.
+ *
+ *  Unfinished jobs re-run their missing runs from cycle zero. When the
+ *  journal was written by another build (its build record differs from
+ *  buildStamp(), or it has none), an unfinished job that already holds
+ *  a finished row is failed instead: its rows are served as they are,
+ *  and no job mixes rows from two builds. */
 void
 JobManager::recover(const std::string &dir)
 {
@@ -628,6 +596,10 @@ JobManager::recover(const std::string &dir)
         Journal::readAll(dir, &std::cerr);
     std::set<std::uint64_t> keptIds;
     std::vector<std::string> kept;
+    std::string journalStamp; // empty: written before build stamps
+    // Row records go through compaction verbatim, so a row keeps any
+    // field an older build wrote and this one no longer reads.
+    std::map<std::pair<std::uint64_t, std::size_t>, std::string> rowRecords;
 
     for (const std::string &payload : records) {
         std::map<std::string, std::string> kv;
@@ -673,7 +645,6 @@ JobManager::recover(const std::string &dir)
                         get("run" + std::to_string(i))));
                 }
                 rec->rows.resize(n);
-                rec->resumeCp.resize(n);
                 lastId_ = std::max(lastId_, rec->id);
                 jobs_[rec->id] = std::move(rec);
             } else if (type == "state") {
@@ -690,20 +661,14 @@ JobManager::recover(const std::string &dir)
                     row.result = wire::runResultFromJson(get("result"));
                     row.statDump = get("dump");
                     row.done = true;
+                    rowRecords[{recId, run}] = payload;
                 }
+            } else if (type == "build") {
+                journalStamp = get("stamp");
             } else if (type == "checkpoint") {
-                Rec *rec = find(recId);
-                const std::size_t run =
-                    static_cast<std::size_t>(getU64("run"));
-                if (rec != nullptr && run < rec->resumeCp.size()) {
-                    sim::Checkpoint &cp = rec->resumeCp[run];
-                    const Cycle cycle = getU64("cycle");
-                    if (cycle > cp.cycle) {
-                        cp.cycle = cycle;
-                        cp.seq = getU64("seq");
-                        cp.digest = getU64("digest");
-                    }
-                }
+                // Written by builds that verified resumed runs against
+                // recorded cuts; nothing reads them, compaction drops
+                // them.
             } else {
                 std::cerr << "picosim journal: unknown record type '"
                           << type << "' skipped\n";
@@ -727,7 +692,12 @@ JobManager::recover(const std::string &dir)
     // Settle every recovered job: recount the rows, finalize jobs whose
     // runs all finished before the crash, and re-queue the rest — an
     // interrupted running job goes back in as queued, its finished rows
-    // kept and its missing runs resumed from their last checkpoint.
+    // kept and its missing runs re-run from cycle zero.
+    const std::string &stamp = buildStamp();
+    const bool foreign = stamp.empty() || journalStamp != stamp;
+    const auto named = [](const std::string &s) {
+        return s.empty() ? std::string("(unstamped)") : s;
+    };
     for (auto &[id, rec] : jobs_) {
         rec->doneRuns = 0;
         for (const RunRow &row : rec->rows)
@@ -739,6 +709,19 @@ JobManager::recover(const std::string &dir)
             rec->doneRuns == rec->spec.runs.size()) {
             finalize(*rec); // journal_ is still null: compaction below
                             // writes the state record durably
+            continue;
+        }
+        if (foreign && rec->doneRuns > 0) {
+            rec->state = JobState::Failed;
+            rec->error =
+                "journaled by build " + named(journalStamp) +
+                ", recovered by build " + named(stamp) + ": its " +
+                std::to_string(rec->doneRuns) +
+                " finished run(s) are kept and the other " +
+                std::to_string(rec->spec.runs.size() - rec->doneRuns) +
+                " are not re-run, so no job mixes rows from two builds";
+            std::cerr << "picosim journal: job " << id << " failed: "
+                      << rec->error << "\n";
             continue;
         }
         rec->state = JobState::Queued;
@@ -754,16 +737,14 @@ JobManager::recover(const std::string &dir)
     }
 
     // Compact: the live state replaces the historical append stream.
-    std::vector<std::string> compacted;
+    // The build record goes first, so the next start knows which build
+    // the recovered rows came from.
+    std::vector<std::string> compacted{buildRecord()};
     for (const auto &[id, rec] : jobs_) {
         compacted.push_back(rec->submitRecord());
         for (std::size_t i = 0; i < rec->rows.size(); ++i)
             if (rec->rows[i].done)
-                compacted.push_back(rowRecord(rec->id, i, rec->rows[i]));
-        for (std::size_t i = 0; i < rec->resumeCp.size(); ++i)
-            if (rec->resumeCp[i].cycle != 0)
-                compacted.push_back(
-                    checkpointRecord(rec->id, i, rec->resumeCp[i]));
+                compacted.push_back(rowRecords.at({id, i}));
         if (jobStateFinal(rec->state))
             compacted.push_back(rec->stateRecord());
     }

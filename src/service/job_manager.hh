@@ -54,17 +54,10 @@ class JobManager
          *  the historical behavior). With a journal, submissions and
          *  finished rows survive a crash: the next manager pointed at
          *  the same directory re-queues unfinished jobs verbatim and
-         *  re-runs their missing runs, verified against the last
-         *  durable checkpoint. */
+         *  re-runs their missing runs from cycle zero. A job that holds
+         *  rows from a different build (see buildStamp) is failed
+         *  instead of being finished by this one. */
         std::string journalDir;
-
-        /** Checkpoint stride (simulated cycles) for journaled runs.
-         *  Recovery replays an interrupted run from cycle zero either
-         *  way (a checkpoint is a cut, not a snapshot — see
-         *  RunControls::resumeFrom); a recorded checkpoint only lets
-         *  the replay verify its digest at that cycle. 0 keeps runs
-         *  checkpoint-free: same replay, no verification. */
-        Cycle checkpointEvery = 0;
     };
 
     JobManager(); ///< default Params
@@ -119,8 +112,7 @@ class JobManager
      * WITHOUT marking their jobs cancelled, and block until nothing is
      * in flight. Interrupted rows are left unfinished (and never
      * journaled), so a journaled manager restarted on the same
-     * directory re-dispatches them — resuming from their last durable
-     * checkpoint. Queued jobs stay queued.
+     * directory re-runs them from cycle zero. Queued jobs stay queued.
      */
     void drain();
 
@@ -138,7 +130,6 @@ class JobManager
 
     const double defaultTimeoutSec_;
     const unsigned defaultMaxInFlight_;
-    const Cycle checkpointEvery_;
     unsigned workers_ = 1;
     std::unique_ptr<Journal> journal_; ///< null = volatile manager
 

@@ -1,6 +1,8 @@
 #include "service/journal.hh"
 
+#include <elf.h>
 #include <fcntl.h>
+#include <link.h>
 #include <sys/stat.h>
 #include <unistd.h>
 
@@ -70,7 +72,56 @@ writeAll(int fd, const std::string &data)
     return true;
 }
 
+/** dl_iterate_phdr callback: append the build-id of the first object
+ *  reported, which is the executable itself, as hex to @p out, then
+ *  stop the iteration. */
+int
+appendBuildId(dl_phdr_info *info, std::size_t, void *out)
+{
+    std::string &hex = *static_cast<std::string *>(out);
+    for (ElfW(Half) i = 0; i < info->dlpi_phnum; ++i) {
+        const ElfW(Phdr) &ph = info->dlpi_phdr[i];
+        if (ph.p_type != PT_NOTE)
+            continue;
+        const std::size_t align = ph.p_align == 8 ? 8 : 4;
+        const auto pad = [align](std::size_t n) {
+            return (n + align - 1) & ~(align - 1);
+        };
+        const char *p =
+            reinterpret_cast<const char *>(info->dlpi_addr + ph.p_vaddr);
+        const char *const end = p + ph.p_memsz;
+        while (p + sizeof(ElfW(Nhdr)) <= end) {
+            const auto *note = reinterpret_cast<const ElfW(Nhdr) *>(p);
+            const char *name = p + sizeof(ElfW(Nhdr));
+            const auto *desc = reinterpret_cast<const unsigned char *>(
+                name + pad(note->n_namesz));
+            if (note->n_type == NT_GNU_BUILD_ID && note->n_namesz == 4 &&
+                std::memcmp(name, "GNU", 4) == 0) {
+                static constexpr char kDigits[] = "0123456789abcdef";
+                for (std::size_t k = 0; k < note->n_descsz; ++k) {
+                    hex += kDigits[desc[k] >> 4];
+                    hex += kDigits[desc[k] & 0xF];
+                }
+                return 1;
+            }
+            p = reinterpret_cast<const char *>(desc) + pad(note->n_descsz);
+        }
+    }
+    return 1;
+}
+
 } // namespace
+
+const std::string &
+buildStamp()
+{
+    static const std::string stamp = [] {
+        std::string hex;
+        dl_iterate_phdr(appendBuildId, &hex);
+        return hex;
+    }();
+    return stamp;
+}
 
 std::uint32_t
 crc32(std::string_view data)

@@ -20,6 +20,11 @@
  * written to `<path>.tmp`, fsynced, and renamed over the original, so a
  * crash during compaction leaves either the old or the new journal —
  * never a mix.
+ *
+ * The build stamp ties a journal to the binary that wrote it: recovery
+ * writes buildStamp() as the first record of every compaction, and a
+ * later start under a different stamp refuses to finish a job that
+ * already holds rows from the old build (see JobManager::recover).
  */
 
 #ifndef PICOSIM_SERVICE_JOURNAL_HH
@@ -37,6 +42,11 @@ namespace picosim::svc
 
 /** CRC-32 (IEEE 802.3, reflected poly 0xEDB88320) of @p data. */
 std::uint32_t crc32(std::string_view data);
+
+/** The running executable's GNU build-id in lowercase hex (every binary
+ *  that links picosim is linked with --build-id); "" when it has none.
+ *  Read once from the loaded program headers, then cached. */
+const std::string &buildStamp();
 
 class Journal
 {

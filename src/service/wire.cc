@@ -94,7 +94,6 @@ runResultJson(const rt::RunResult &res)
     num("crossShardEdges", res.crossShardEdges);
     num("workSteals", res.workSteals);
     num("workerSubmits", res.workerSubmits);
-    num("resumedFromCycle", res.resumedFromCycle);
     appendField(out, "inlineTasks",
                 static_cast<unsigned long long>(res.inlineTasks));
     out += '}';
@@ -147,7 +146,6 @@ runResultFromJson(const std::string &json)
     num("crossShardEdges", res.crossShardEdges);
     num("workSteals", res.workSteals);
     num("workerSubmits", res.workerSubmits);
-    num("resumedFromCycle", res.resumedFromCycle);
     num("inlineTasks", res.inlineTasks);
     return res;
 }

@@ -11,7 +11,6 @@
 #include <functional>
 #include <vector>
 
-#include "sim/checkpoint.hh"
 #include "sim/clock.hh"
 #include "sim/event_wheel.hh"
 #include "sim/small_fn.hh"
@@ -161,8 +160,8 @@ class Simulator
      * at the dispatch boundary of the first evaluated cycle at or past
      * each stride multiple, labeled with the stride multiple itself. The
      * label sequence is a pure function of the deterministic schedule,
-     * identical across reruns, which is what makes a label a valid
-     * resume cut.
+     * identical across reruns, which is what lets two runs be compared
+     * cut by cut (picosim_bisect).
      */
     void
     setCheckpointHook(CheckpointHook hook, Cycle every)

@@ -13,7 +13,7 @@ namespace
 /**
  * Integral values (every counter) print exactly, anything else (means)
  * at shortest round-trip precision: the dump is the equality oracle of
- * EventDriven==TickWorld gates and checkpoint digests, so two dumps
+ * EventDriven==TickWorld gates and picosim_bisect's cuts, so two dumps
  * must differ whenever two values do, however many digits they have.
  */
 void

@@ -19,11 +19,8 @@ namespace
 
 constexpr std::uint64_t kU64Max = std::numeric_limits<std::uint64_t>::max();
 
-/**
- * Strict base-10 integer: digits only (signs, hex prefixes and trailing
- * garbage are rejected, never truncated), overflow-checked, and an
- * explicit valid range reported in the same style as the enum keys.
- */
+} // namespace
+
 std::uint64_t
 parseInt(const std::string &disp, const std::string &v, std::uint64_t min,
          std::uint64_t max)
@@ -51,6 +48,9 @@ parseInt(const std::string &disp, const std::string &v, std::uint64_t min,
     }
     return value;
 }
+
+namespace
+{
 
 /** Shortest decimal form of @p d that strtod parses back bit-exactly. */
 std::string

@@ -148,6 +148,15 @@ struct RunSpec
 /** CLI spelling of a runtime kind ("serial", "nanos-sw", ...). */
 std::string kindSpecName(rt::RuntimeKind kind);
 
+/**
+ * Strict base-10 integer: digits only (signs, blanks, an empty value,
+ * hex prefixes and trailing garbage are rejected, never truncated),
+ * overflow-checked, and in [@p min, @p max]. Throws SpecError naming
+ * @p disp, the legal range and @p v.
+ */
+std::uint64_t parseInt(const std::string &disp, const std::string &v,
+                       std::uint64_t min, std::uint64_t max);
+
 } // namespace picosim::spec
 
 #endif // PICOSIM_SPEC_RUN_SPEC_HH

@@ -67,14 +67,6 @@ withoutFault(spec::RunSpec s)
     return s;
 }
 
-std::string
-resultKey(const RunResult &res)
-{
-    RunResult r = res;
-    r.resumedFromCycle = 0;
-    return svc::wire::runResultJson(r);
-}
-
 } // namespace
 
 // -- Spec validation ----------------------------------------------------
@@ -161,7 +153,7 @@ TEST(FaultRun, RepeatedFaultedRunsAreIdentical)
 {
     const RunResult a = spec::Engine::run(killShardSpec());
     const RunResult b = spec::Engine::run(killShardSpec());
-    EXPECT_EQ(resultKey(a), resultKey(b));
+    EXPECT_EQ(svc::wire::runResultJson(a), svc::wire::runResultJson(b));
 }
 
 // -- Drop-job: the harness drops, the JobManager retries ----------------
@@ -200,6 +192,7 @@ TEST(FaultRun, JobManagerRetriesADroppedRunOnce)
     ASSERT_TRUE(row.has_value() && row->done);
     EXPECT_EQ(row->result.status, RunStatus::Ok);
     // The disarmed re-execution reproduces the clean run exactly.
-    EXPECT_EQ(resultKey(row->result),
-              resultKey(spec::Engine::run(withoutFault(dropped))));
+    EXPECT_EQ(
+        svc::wire::runResultJson(row->result),
+        svc::wire::runResultJson(spec::Engine::run(withoutFault(dropped))));
 }

@@ -3,11 +3,13 @@
  * Crash-recovery tests for the journaled JobManager: a manager pointed
  * at a journal directory must bring back queued jobs verbatim, keep
  * finished and cancelled jobs in their final states, and re-dispatch
- * runs that were in flight when the process died — producing results
- * bit-identical to a run that was never interrupted. Destroying the
- * manager mid-run stands in for the crash: like `kill -9`, it never
- * journals the in-flight rows (their cancellation is an artifact of
- * shutdown, not a user decision).
+ * runs that were in flight when the process died — replayed from cycle
+ * zero, producing results bit-identical to a run that was never
+ * interrupted. Destroying the manager mid-run stands in for the crash:
+ * like `kill -9`, it never journals the in-flight rows (their
+ * cancellation is an artifact of shutdown, not a user decision). A
+ * journal from a different build must never get a job finished with
+ * rows from two builds.
  */
 
 #include <gtest/gtest.h>
@@ -17,6 +19,7 @@
 #include <memory>
 #include <string>
 #include <thread>
+#include <vector>
 
 #include "service/job_manager.hh"
 #include "service/journal.hh"
@@ -76,20 +79,30 @@ journaled(const std::string &dir, bool paused = false)
     JobManager::Params p;
     p.workers = 2;
     p.journalDir = dir;
-    p.checkpointEvery = 100'000;
     p.startPaused = paused;
     return p;
 }
 
-/** Result comparison key with the resume provenance zeroed — a
- *  recovered run resumes mid-stream, which is exactly the difference
- *  that must NOT leak into any other field. */
-std::string
-resultKey(const rt::RunResult &res)
+/** A job of two quick runs, dispatched one after the other. */
+JobSpec
+twoRunJob()
 {
-    rt::RunResult r = res;
-    r.resumedFromCycle = 0;
-    return wire::runResultJson(r);
+    JobSpec js;
+    js.runs = {quickSpec(), quickSpec()};
+    js.maxInFlight = 1;
+    return js;
+}
+
+/** The first of @p records whose payload contains @p needle. */
+std::string
+recordWith(const std::vector<std::string> &records,
+           const std::string &needle)
+{
+    for (const std::string &r : records)
+        if (r.find(needle) != std::string::npos)
+            return r;
+    ADD_FAILURE() << "no journal record contains " << needle;
+    return {};
 }
 
 /** Poll until @p id reports Running (fails the test on a 60s stall). */
@@ -149,8 +162,8 @@ TEST(Recovery, QueuedJobSurvivesRestartVerbatim)
     EXPECT_EQ(done.state, JobState::Done);
     const auto row = mgr.waitRow(id, 0);
     ASSERT_TRUE(row.has_value() && row->done);
-    EXPECT_EQ(resultKey(row->result),
-              resultKey(spec::Engine::run(quickSpec())));
+    EXPECT_EQ(wire::runResultJson(row->result),
+              wire::runResultJson(spec::Engine::run(quickSpec())));
 }
 
 TEST(Recovery, FinishedJobKeepsItsRowsAcrossRestarts)
@@ -199,13 +212,14 @@ TEST(Recovery, JobWithARemovedKeyStaysOnDisk)
 
     // Rewrite the submit record the way journals written while the
     // parallel kernel existed stored it: serialize() listed every key,
-    // the removed ones included. The finished row and state follow it.
+    // the removed ones included. The build record comes first; the
+    // finished row and state follow the submission.
     std::vector<std::string> old = Journal::readAll(dir, nullptr);
-    ASSERT_EQ(old.size(), 3u);
+    ASSERT_EQ(old.size(), 4u);
     const std::string run0 = "\"run0\":\"";
-    const std::size_t at = old[0].find(run0);
+    const std::size_t at = old[1].find(run0);
     ASSERT_NE(at, std::string::npos);
-    old[0].insert(at + run0.size(),
+    old[1].insert(at + run0.size(),
                   "pdes=auto pdes-domains=auto host-threads=1 ");
     Journal::rewrite(dir, old);
 
@@ -257,7 +271,7 @@ TEST(Recovery, InterruptedRunResumesBitIdentically)
         JobManager mgr(journaled(dir));
         id = mgr.submit(singleRunJob(longSpec()));
         awaitRunning(mgr, id);
-        // Give the run time to pass some checkpoints, then "crash".
+        // Let the run get well under way, then "crash".
         std::this_thread::sleep_for(std::chrono::milliseconds(300));
     }
 
@@ -267,8 +281,8 @@ TEST(Recovery, InterruptedRunResumesBitIdentically)
     const auto row = mgr.waitRow(id, 0);
     ASSERT_TRUE(row.has_value() && row->done);
     EXPECT_EQ(row->result.status, rt::RunStatus::Ok);
-    EXPECT_EQ(resultKey(row->result),
-              resultKey(spec::Engine::run(longSpec())));
+    EXPECT_EQ(wire::runResultJson(row->result),
+              wire::runResultJson(spec::Engine::run(longSpec())));
 }
 
 TEST(Recovery, DrainLeavesTheRunResumable)
@@ -294,6 +308,117 @@ TEST(Recovery, DrainLeavesTheRunResumable)
     EXPECT_EQ(mgr.wait(id).state, JobState::Done);
     const auto row = mgr.waitRow(id, 0);
     ASSERT_TRUE(row.has_value() && row->done);
-    EXPECT_EQ(resultKey(row->result),
-              resultKey(spec::Engine::run(longSpec())));
+    EXPECT_EQ(wire::runResultJson(row->result),
+              wire::runResultJson(spec::Engine::run(longSpec())));
+}
+
+TEST(Recovery, ForeignBuildFailsAJobThatHoldsRows)
+{
+    ASSERT_FALSE(buildStamp().empty()) << "binary has no GNU build-id";
+    const std::string dir = freshDir("recover_foreign_build");
+    std::uint64_t id = 0;
+    std::string row0;
+    {
+        JobManager mgr(journaled(dir));
+        id = mgr.submit(twoRunJob());
+        EXPECT_EQ(mgr.wait(id).state, JobState::Done);
+        row0 = wire::runResultJson(mgr.waitRow(id, 0)->result);
+    }
+
+    // The journal another build left when it died after run 0: its own
+    // build record, the submission and run 0's row.
+    const std::vector<std::string> full = Journal::readAll(dir, nullptr);
+    ASSERT_EQ(full.size(), 5u); // build, submit, two rows, state
+    Journal::rewrite(dir, {R"({"type":"build","stamp":"0bad"})",
+                           recordWith(full, R"("type":"submit")"),
+                           recordWith(full, R"("run":0,)")});
+
+    for (int restart = 0; restart < 2; ++restart) {
+        ::testing::internal::CaptureStderr();
+        JobManager mgr(journaled(dir));
+        const std::string diag = ::testing::internal::GetCapturedStderr();
+        const JobStatus st = *mgr.status(id);
+        EXPECT_EQ(st.state, JobState::Failed) << "restart " << restart;
+        EXPECT_EQ(st.runsDone, 1u);
+        // The error names both builds; the first start says so loudly.
+        EXPECT_NE(st.error.find("journaled by build 0bad"),
+                  std::string::npos)
+            << st.error;
+        EXPECT_NE(st.error.find("recovered by build " + buildStamp()),
+                  std::string::npos)
+            << st.error;
+        if (restart == 0) {
+            EXPECT_NE(diag.find("job " + std::to_string(id) + " failed"),
+                      std::string::npos)
+                << diag;
+        }
+        // Run 0 is served as the other build computed it.
+        const auto row = mgr.waitRow(id, 0);
+        ASSERT_TRUE(row.has_value() && row->done);
+        EXPECT_EQ(wire::runResultJson(row->result), row0);
+
+        // Run 1 never runs, even while the workers run other jobs.
+        const std::uint64_t other = mgr.submit(singleRunJob(quickSpec()));
+        EXPECT_EQ(mgr.wait(other).state, JobState::Done);
+        EXPECT_FALSE(mgr.waitRow(id, 1)->done);
+        EXPECT_EQ(mgr.status(id)->startSeq, 0u);
+    }
+    for (const std::string &r : Journal::readAll(dir, nullptr)) {
+        EXPECT_EQ(r.find("\"run\":1,"), std::string::npos) << r;
+    }
+}
+
+TEST(Recovery, PreStampJournalKeepsEveryRowVerbatim)
+{
+    const std::string dir = freshDir("recover_pre_stamp");
+    std::uint64_t id = 0;
+    std::vector<std::string> served;
+    {
+        JobManager mgr(journaled(dir));
+        id = mgr.submit(twoRunJob());
+        EXPECT_EQ(mgr.wait(id).state, JobState::Done);
+        for (std::size_t i = 0; i < 2; ++i)
+            served.push_back(
+                wire::runResultJson(mgr.waitRow(id, i)->result));
+    }
+
+    // The same job as a build from before build stamps journaled it:
+    // no build record, a checkpoint record ahead of each row, and rows
+    // that carry the resume-provenance field those builds wrote (spelt
+    // in two pieces so a search for the removed name finds no live use).
+    const std::vector<std::string> now = Journal::readAll(dir, nullptr);
+    ASSERT_EQ(now.size(), 5u); // build, submit, two rows, state
+    std::vector<std::string> old;
+    std::vector<std::string> survivors{now[0]};
+    for (std::size_t i = 1; i < now.size(); ++i) {
+        std::string r = now[i];
+        if (r.find("\"type\":\"row\"") != std::string::npos) {
+            const std::string run = r.substr(r.find("\"run\":"), 7);
+            old.push_back("{\"type\":\"checkpoint\",\"id\":" +
+                          std::to_string(id) + "," + run +
+                          ",\"cycle\":100000,\"seq\":1,"
+                          "\"digest\":1234567}");
+            const std::string tail = R"(\"inlineTasks\")";
+            const std::size_t at = r.find(tail);
+            ASSERT_NE(at, std::string::npos) << r;
+            r.insert(at, R"(\"resumed)" R"(FromCycle\":0,)");
+        }
+        old.push_back(r);
+        survivors.push_back(r);
+    }
+    Journal::rewrite(dir, old);
+
+    // A finished job is not refused: it mixes nothing. Compaction stamps
+    // the journal and drops only the checkpoint records.
+    for (int restart = 0; restart < 2; ++restart) {
+        JobManager mgr(journaled(dir, /*paused=*/true));
+        EXPECT_EQ(mgr.status(id)->state, JobState::Done);
+        for (std::size_t i = 0; i < 2; ++i) {
+            const auto row = mgr.waitRow(id, i);
+            ASSERT_TRUE(row.has_value() && row->done);
+            EXPECT_EQ(wire::runResultJson(row->result), served[i]);
+        }
+        EXPECT_EQ(Journal::readAll(dir, nullptr), survivors)
+            << "restart " << restart;
+    }
 }

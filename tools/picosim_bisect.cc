@@ -2,22 +2,25 @@
  * @file
  * picosim_bisect: find where two runs diverge.
  *
- * Runs two specs side by side, checkpointing both on the same cycle
- * stride, and reports the first checkpoint whose state digests differ —
- * plus the first differing stat line at that cut, which usually names
- * the subsystem responsible. Two runs of the SAME spec are bit-identical
- * by the determinism contract, so this tool is for the interesting
- * cases: "these two specs should agree — where do they stop agreeing?"
- * (kernel modes, host-thread counts, a fault-injected run against a
- * clean one, a suspected nondeterminism report).
+ * Runs two specs side by side, cutting both on the same cycle stride,
+ * and reports the first cut whose full stat dumps differ — plus the
+ * first differing stat line there, which usually names the subsystem
+ * responsible. A cut only reads the stats (the kernel settles them at
+ * a deterministic boundary first), so it never changes the run. Two
+ * runs of the SAME spec are bit-identical by the determinism contract,
+ * so this tool is for the interesting cases: "these two specs should
+ * agree — where do they stop agreeing?" (the event and tickworld
+ * kernels, two runtimes, a fault-injected run against a clean one, a
+ * suspected nondeterminism report).
  *
  * Usage:
  *   picosim_bisect [--every=CYCLES] SPEC_A SPEC_B
  *
  *   SPEC_A/SPEC_B  spec files (key=value lines, # comments — the same
  *                  files picosim_run --spec takes)
- *   --every        checkpoint stride in simulated cycles (default
- *                  65536; smaller = finer localization, slower)
+ *   --every        checkpoint stride in simulated cycles, a positive
+ *                  decimal count (default 65536; smaller = finer
+ *                  localization, slower)
  *
  * Exit code: 0 when the runs match at every shared checkpoint and in
  * their final stats, 1 when they diverge, 2 on usage/run errors.
@@ -49,10 +52,17 @@ usage(const char *msg)
     std::exit(2);
 }
 
+/** One checkpoint: the boundary label and the stat dump there. */
+struct Cut
+{
+    Cycle cycle = 0;
+    std::string dump;
+};
+
 struct RunTrace
 {
-    std::vector<sim::Checkpoint> cuts; ///< stride checkpoints, in order
-    std::string finalDump;             ///< stats after the run finished
+    std::vector<Cut> cuts; ///< stride checkpoints, in order
+    std::string finalDump; ///< stats after the run finished
     rt::RunResult result;
 };
 
@@ -71,9 +81,8 @@ traceRun(const std::string &path, Cycle every)
     RunTrace trace;
     rt::RunControls ctl;
     ctl.checkpointEvery = every;
-    ctl.checkpointDumps = true; // keep the full stats at each cut
-    ctl.onCheckpoint = [&trace](const sim::Checkpoint &cp) {
-        trace.cuts.push_back(cp);
+    ctl.onCheckpoint = [&trace](Cycle cycle, const std::string &dump) {
+        trace.cuts.push_back({cycle, dump});
     };
 
     spec::InspectedRun ins = spec::Engine::runInspected(spec, nullptr, ctl);
@@ -113,8 +122,7 @@ printFirstDiff(const std::string &a, const std::string &b)
             return;
         }
     }
-    std::printf("  (stat dumps are textually identical — the digest "
-                "difference is outside the dumped stats)\n");
+    std::printf("  (stat dumps are textually identical)\n");
 }
 
 } // namespace
@@ -127,10 +135,12 @@ main(int argc, char **argv)
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
         if (arg.rfind("--every=", 0) == 0) {
-            char *end = nullptr;
-            every = std::strtoull(arg.c_str() + 8, &end, 10);
-            if (*end != '\0' || every == 0)
+            try {
+                every = spec::parseInt("--every", arg.substr(8), 1,
+                                       ~Cycle{0});
+            } catch (const spec::SpecError &) {
                 usage("--every expects a positive cycle count");
+            }
         } else if (arg.rfind("--", 0) == 0) {
             usage(("unknown flag '" + arg + "'").c_str());
         } else {
@@ -146,25 +156,22 @@ main(int argc, char **argv)
 
         const std::size_t shared = std::min(a.cuts.size(), b.cuts.size());
         for (std::size_t i = 0; i < shared; ++i) {
-            const sim::Checkpoint &ca = a.cuts[i];
-            const sim::Checkpoint &cb = b.cuts[i];
+            const Cut &ca = a.cuts[i];
+            const Cut &cb = b.cuts[i];
             if (ca.cycle != cb.cycle) {
                 std::printf("DIVERGED at checkpoint %zu: A cut at cycle "
                             "%llu, B at cycle %llu\n",
                             i + 1,
                             static_cast<unsigned long long>(ca.cycle),
                             static_cast<unsigned long long>(cb.cycle));
-                printFirstDiff(ca.statDump, cb.statDump);
+                printFirstDiff(ca.dump, cb.dump);
                 return 1;
             }
-            if (ca.digest != cb.digest) {
-                std::printf("DIVERGED by cycle %llu (checkpoint %zu, "
-                            "digest %016llx vs %016llx)\n",
+            if (ca.dump != cb.dump) {
+                std::printf("DIVERGED by cycle %llu (checkpoint %zu)\n",
                             static_cast<unsigned long long>(ca.cycle),
-                            i + 1,
-                            static_cast<unsigned long long>(ca.digest),
-                            static_cast<unsigned long long>(cb.digest));
-                printFirstDiff(ca.statDump, cb.statDump);
+                            i + 1);
+                printFirstDiff(ca.dump, cb.dump);
                 return 1;
             }
         }
@@ -190,14 +197,9 @@ main(int argc, char **argv)
             return 1;
         }
         std::printf("IDENTICAL: %zu checkpoint(s) and the final stats "
-                    "match (%llu cycles, digest %016llx at the last "
-                    "cut)\n",
+                    "match (%llu cycles)\n",
                     a.cuts.size(),
-                    static_cast<unsigned long long>(a.result.cycles),
-                    a.cuts.empty()
-                        ? 0ull
-                        : static_cast<unsigned long long>(
-                              a.cuts.back().digest));
+                    static_cast<unsigned long long>(a.result.cycles));
         return 0;
     } catch (const std::exception &e) {
         std::fprintf(stderr, "picosim_bisect: %s\n", e.what());

@@ -9,7 +9,7 @@
  * Usage:
  *   picosim_serve [--port=N] [--host=ADDR] [--workers=N]
  *                 [--max-queued=N] [--timeout=SEC]
- *                 [--journal=DIR] [--checkpoint-every=N]
+ *                 [--journal=DIR]
  *
  *   --port       listen port (default 0 = ephemeral; the chosen port is
  *                printed on the "listening" line for scripts to parse)
@@ -22,25 +22,28 @@
  *   --journal    durable job journal directory: submissions and
  *                finished runs survive a crash, and a restarted daemon
  *                pointed at the same directory re-queues unfinished
- *                jobs and resumes them from their last checkpoint
- *   --checkpoint-every  checkpoint stride in simulated cycles for
- *                journaled runs (default 0 = restart interrupted runs
- *                from cycle zero — always correct, just slower)
+ *                jobs and re-runs their missing runs from cycle zero.
+ *                A job that already holds rows from a different build
+ *                of the daemon is failed instead, its rows kept.
  *
- * The server runs until a client sends SHUTDOWN (exit 0) or it receives
- * SIGTERM/SIGINT (exit 3). Both paths drain: dispatching stops,
- * in-flight runs checkpoint and stop at their next deterministic
- * boundary, and the journal is flushed before the process exits —
- * nothing submitted is lost.
+ * A bad flag is a usage error (exit 2); numeric values are plain
+ * decimal, so a sign or an empty value is one too. The server runs
+ * until a client sends SHUTDOWN (exit 0) or it receives SIGTERM/SIGINT
+ * (exit 3). Both paths drain: dispatching stops, in-flight runs stop at
+ * their next deterministic boundary and are left unfinished in the
+ * journal, to be re-run on restart — nothing submitted is lost. Any
+ * other failure exits 1.
  */
 
 #include <csignal>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <string>
 
 #include "service/server.hh"
+#include "spec/run_spec.hh"
 
 using namespace picosim;
 
@@ -53,14 +56,15 @@ usage(const char *msg)
     std::fprintf(stderr,
                  "%s\nusage: picosim_serve [--port=N] [--host=ADDR] "
                  "[--workers=N] [--max-queued=N] [--timeout=SEC] "
-                 "[--journal=DIR] [--checkpoint-every=N]\n",
+                 "[--journal=DIR]\n",
                  msg);
-    std::exit(1);
+    std::exit(2);
 }
 
 /** Distinct exit status for a signal-initiated (drained) shutdown, so
- *  supervisors can tell "asked to stop, wound down cleanly" from both
- *  a client SHUTDOWN (0) and a startup/runtime failure (1). */
+ *  supervisors can tell "asked to stop, wound down cleanly" from a
+ *  client SHUTDOWN (0), a startup/runtime failure (1) and a usage
+ *  error (2). */
 constexpr int kExitDrained = 3;
 
 volatile std::sig_atomic_t g_signalled = 0;
@@ -89,24 +93,25 @@ main(int argc, char **argv)
             usage(("bad argument '" + arg + "'").c_str());
         const std::string key = arg.substr(2, eq - 2);
         const std::string value = arg.substr(eq + 1);
+        const auto count = [&](std::uint64_t max, const char *msg) {
+            try {
+                return spec::parseInt("--" + key, value, 0, max);
+            } catch (const spec::SpecError &) {
+                usage(msg);
+            }
+        };
         char *end = nullptr;
         if (key == "port") {
-            const unsigned long v = std::strtoul(value.c_str(), &end, 10);
-            if (*end != '\0' || v > 65535)
-                usage("--port expects a port number");
-            params.port = static_cast<unsigned short>(v);
+            params.port = static_cast<unsigned short>(
+                count(65535, "--port expects a port number"));
         } else if (key == "host") {
             params.host = value;
         } else if (key == "workers") {
-            const unsigned long v = std::strtoul(value.c_str(), &end, 10);
-            if (*end != '\0' || v > 4096)
-                usage("--workers expects an integer in [0, 4096]");
-            params.manager.workers = static_cast<unsigned>(v);
+            params.manager.workers = static_cast<unsigned>(
+                count(4096, "--workers expects an integer in [0, 4096]"));
         } else if (key == "max-queued") {
-            const unsigned long v = std::strtoul(value.c_str(), &end, 10);
-            if (*end != '\0')
-                usage("--max-queued expects an integer");
-            params.manager.maxQueued = v;
+            params.manager.maxQueued =
+                count(SIZE_MAX, "--max-queued expects an integer");
         } else if (key == "timeout") {
             params.manager.defaultTimeoutSec =
                 std::strtod(value.c_str(), &end);
@@ -116,12 +121,6 @@ main(int argc, char **argv)
             if (value.empty())
                 usage("--journal expects a directory");
             params.manager.journalDir = value;
-        } else if (key == "checkpoint-every") {
-            const unsigned long long v =
-                std::strtoull(value.c_str(), &end, 10);
-            if (*end != '\0')
-                usage("--checkpoint-every expects a cycle count");
-            params.manager.checkpointEvery = v;
         } else {
             usage(("unknown flag '--" + key + "'").c_str());
         }
@@ -144,8 +143,9 @@ main(int argc, char **argv)
         server.serveForever();
 
         // Wind down before the manager is destroyed: in-flight runs
-        // stop at their next deterministic boundary and stay resumable
-        // (journaled mode), queued jobs stay queued in the journal.
+        // stop at their next deterministic boundary and stay unfinished
+        // (journaled mode: re-run from cycle zero on restart), queued
+        // jobs stay queued in the journal.
         server.manager().drain();
         g_server = nullptr;
         if (g_signalled != 0) {
