@@ -23,50 +23,36 @@ CoherentMemory::CoherentMemory(unsigned num_cores, const MemParams &params)
         sim::fatal("CoherentMemory needs at least one core");
     setsPow2_ = params_.l1Sets > 0 &&
                 (params_.l1Sets & (params_.l1Sets - 1)) == 0;
-    l1s_.resize(num_cores);
-    for (auto &l1 : l1s_)
-        l1.ways.assign(std::size_t{params_.l1Sets} * params_.l1Ways, Way{});
+    numCores_ = num_cores;
+    const std::size_t slots =
+        std::size_t{params_.l1Sets} * num_cores * params_.l1Ways;
+    tags_.assign(slots, 0);
+    states_.assign(slots, LineState::Invalid);
+    lastUse_.assign(slots, 0);
 }
 
 void
 CoherentMemory::reset()
 {
-    for (auto &l1 : l1s_)
-        std::fill(l1.ways.begin(), l1.ways.end(), Way{});
+    std::fill(tags_.begin(), tags_.end(), Addr{0});
     useClock_ = 0;
 }
 
-CoherentMemory::Way *
-CoherentMemory::findLine(CoreId core, Addr line)
-{
-    return findInSet(core, setIndex(line), line);
-}
-
-const CoherentMemory::Way *
-CoherentMemory::findLine(CoreId core, Addr line) const
-{
-    return const_cast<CoherentMemory *>(this)->findLine(core, line);
-}
-
-CoherentMemory::Way *
+std::size_t
 CoherentMemory::allocLine(CoreId core, Addr line)
 {
-    L1 &l1 = l1s_[core];
-    const unsigned set = setIndex(line);
-    Way *base = &l1.ways[std::size_t{set} * params_.l1Ways];
-    Way *victim = &base[0];
-    for (unsigned w = 0; w < params_.l1Ways; ++w) {
-        if (!base[w].valid)
-            return &base[w];
-        if (base[w].lastUse < victim->lastUse)
-            victim = &base[w];
+    const std::size_t base = setBase(setIndex(line), core);
+    std::size_t victim = base;
+    for (std::size_t s = base; s < base + params_.l1Ways; ++s) {
+        if (tags_[s] == 0)
+            return s;
+        if (lastUse_[s] < lastUse_[victim])
+            victim = s;
     }
     // Writebacks of dirty victims are folded into missLatency; an explicit
     // writeback port model is not needed for the paper's effects.
-    if (victim->state == LineState::Modified)
+    if (states_[victim] == LineState::Modified)
         ++*statVictimWritebacks_;
-    victim->valid = false;
-    victim->state = LineState::Invalid;
     return victim;
 }
 
@@ -78,26 +64,26 @@ CoherentMemory::snoopRemotes(CoreId core, Addr line, bool exclusive_intent,
     had_sharers = false;
     had_dirty = false;
     const unsigned set = setIndex(line); // shared by every core's L1
-    for (CoreId c = 0; c < l1s_.size(); ++c) {
+    for (CoreId c = 0; c < numCores_; ++c) {
         if (c == core)
             continue;
-        Way *w = findInSet(c, set, line);
-        if (!w || !w->valid)
+        const std::size_t s = findInSet(c, set, line);
+        if (s == kNoSlot)
             continue;
         had_sharers = true;
-        if (w->state == LineState::Modified) {
+        LineState &state = states_[s];
+        if (state == LineState::Modified) {
             // MESI: dirty data travels through main memory.
             had_dirty = true;
             extra += params_.dirtyRemoteExtra;
             ++*statDirtyRemoteTransfers_;
         }
         if (exclusive_intent) {
-            w->valid = false;
-            w->state = LineState::Invalid;
+            tags_[s] = 0;
             ++*statInvalidations_;
-        } else if (w->state == LineState::Modified ||
-                   w->state == LineState::Exclusive) {
-            w->state = LineState::Shared;
+        } else if (state == LineState::Modified ||
+                   state == LineState::Exclusive) {
+            state = LineState::Shared;
         }
     }
     if (exclusive_intent && had_sharers)
@@ -121,8 +107,8 @@ CoherentMemory::access(CoreId core, Addr addr, MemOp op)
 
     if (op == MemOp::Read) {
         ++*statReads_;
-        if (Way *w = findLine(core, line)) {
-            w->lastUse = useClock_;
+        if (const std::size_t s = findLine(core, line); s != kNoSlot) {
+            lastUse_[s] = useClock_;
             d.hit = true;
             d.latency = params_.hitLatency;
             return d;
@@ -132,22 +118,21 @@ CoherentMemory::access(CoreId core, Addr addr, MemOp op)
         const Cycle extra = snoopRemotes(
             core, line, /*exclusive_intent=*/false, had_sharers,
             d.dirtyTransfer);
-        Way *w = allocLine(core, line);
-        w->valid = true;
-        w->tag = line;
-        w->lastUse = useClock_;
-        w->state = had_sharers ? LineState::Shared : LineState::Exclusive;
+        const std::size_t s = allocLine(core, line);
+        tags_[s] = line + 1;
+        lastUse_[s] = useClock_;
+        states_[s] = had_sharers ? LineState::Shared : LineState::Exclusive;
         d.refill = true;
         d.latency = params_.hitLatency + params_.missLatency + extra;
         return d;
     }
 
     ++*statWrites_;
-    Way *w = findLine(core, line);
-    if (w && (w->state == LineState::Modified ||
-              w->state == LineState::Exclusive)) {
-        w->state = LineState::Modified;
-        w->lastUse = useClock_;
+    std::size_t s = findLine(core, line);
+    if (s != kNoSlot && (states_[s] == LineState::Modified ||
+                         states_[s] == LineState::Exclusive)) {
+        states_[s] = LineState::Modified;
+        lastUse_[s] = useClock_;
         d.hit = true;
         d.latency = params_.hitLatency;
         return d;
@@ -157,19 +142,18 @@ CoherentMemory::access(CoreId core, Addr addr, MemOp op)
     const Cycle extra = snoopRemotes(core, line, /*exclusive_intent=*/true,
                                      had_sharers, d.dirtyTransfer);
     Cycle lat = params_.hitLatency + extra;
-    if (w) {
+    if (s != kNoSlot) {
         // Shared -> Modified upgrade; no refill needed.
         ++*statUpgrades_;
     } else {
         ++*statWriteMisses_;
         lat += params_.missLatency;
         d.refill = true;
-        w = allocLine(core, line);
-        w->valid = true;
-        w->tag = line;
+        s = allocLine(core, line);
+        tags_[s] = line + 1;
     }
-    w->state = LineState::Modified;
-    w->lastUse = useClock_;
+    states_[s] = LineState::Modified;
+    lastUse_[s] = useClock_;
     d.latency = lat;
     return d;
 }
@@ -195,11 +179,11 @@ CoherentMemory::atomicRmw(CoreId core, Addr addr)
 bool
 CoherentMemory::probeHit(CoreId core, Addr addr, MemOp op) const
 {
-    const Way *w = findLine(core, lineAddr(addr));
-    if (!w)
+    const std::size_t s = findLine(core, lineAddr(addr));
+    if (s == kNoSlot)
         return false;
-    return op == MemOp::Read || w->state == LineState::Modified ||
-           w->state == LineState::Exclusive;
+    return op == MemOp::Read || states_[s] == LineState::Modified ||
+           states_[s] == LineState::Exclusive;
 }
 
 Cycle
@@ -217,8 +201,8 @@ CoherentMemory::streamTouch(CoreId core, Addr base, unsigned lines,
 LineState
 CoherentMemory::lineState(CoreId core, Addr addr) const
 {
-    const Way *w = findLine(core, lineAddr(addr));
-    return w && w->valid ? w->state : LineState::Invalid;
+    const std::size_t s = findLine(core, lineAddr(addr));
+    return s == kNoSlot ? LineState::Invalid : states_[s];
 }
 
 } // namespace picosim::mem

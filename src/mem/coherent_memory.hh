@@ -93,24 +93,14 @@ class CoherentMemory
     const MemParams &params() const { return params_; }
     sim::StatGroup &stats() { return stats_; }
 
-    unsigned numCores() const { return static_cast<unsigned>(l1s_.size()); }
+    unsigned numCores() const { return numCores_; }
 
     /** Drop all cached state (between experiment runs). */
     void reset();
 
   private:
-    struct Way
-    {
-        bool valid = false;
-        Addr tag = 0;
-        LineState state = LineState::Invalid;
-        std::uint64_t lastUse = 0;
-    };
-
-    struct L1
-    {
-        std::vector<Way> ways; // sets * waysPerSet, row-major
-    };
+    /** No slot: findInSet's miss result. */
+    static constexpr std::size_t kNoSlot = ~std::size_t{0};
 
     Addr lineAddr(Addr addr) const { return addr / params_.lineBytes; }
     unsigned
@@ -123,23 +113,36 @@ class CoherentMemory
                          : static_cast<unsigned>(line % params_.l1Sets);
     }
 
-    /** Scan one set of one core's L1 for @p line (set precomputed). */
-    Way *
-    findInSet(CoreId core, unsigned set, Addr line)
+    /** First slot of @p core's ways in @p set. */
+    std::size_t
+    setBase(unsigned set, CoreId core) const
     {
-        Way *base = &l1s_[core].ways[std::size_t{set} * params_.l1Ways];
-        for (unsigned w = 0; w < params_.l1Ways; ++w) {
-            if (base[w].valid && base[w].tag == line)
-                return &base[w];
-        }
-        return nullptr;
+        return (std::size_t{set} * numCores_ + core) * params_.l1Ways;
     }
 
-    Way *findLine(CoreId core, Addr line);
-    const Way *findLine(CoreId core, Addr line) const;
+    /** Slot holding @p line in one set of one core's L1 (set
+     *  precomputed), or kNoSlot. Compares tags only. */
+    std::size_t
+    findInSet(CoreId core, unsigned set, Addr line) const
+    {
+        const std::size_t base = setBase(set, core);
+        const Addr *tags = &tags_[base];
+        for (unsigned w = 0; w < params_.l1Ways; ++w) {
+            if (tags[w] == line + 1)
+                return base + w;
+        }
+        return kNoSlot;
+    }
 
-    /** Victimize the LRU way of the proper set; returns the slot. */
-    Way *allocLine(CoreId core, Addr line);
+    std::size_t
+    findLine(CoreId core, Addr line) const
+    {
+        return findInSet(core, setIndex(line), line);
+    }
+
+    /** The slot of the proper set for @p line to fill: the first
+     *  invalid way, else the LRU one (its line is dropped). */
+    std::size_t allocLine(CoreId core, Addr line);
 
     /**
      * Downgrade/invalidate remote copies for an access of the given intent.
@@ -150,7 +153,20 @@ class CoherentMemory
 
     MemParams params_;
     bool setsPow2_ = false;
-    std::vector<L1> l1s_;
+    unsigned numCores_ = 0;
+
+    /**
+     * Every core's tags in one store laid out [set][core][way], so one
+     * core's ways of a set are contiguous (8 ways of 8-byte tags fill
+     * one 64-byte host line) and a snoop sweeps the other cores' copies
+     * of a set forward through memory. A slot holds its line + 1; 0 is
+     * an invalid way. States and LRU stamps sit in parallel arrays that
+     * are read only for valid ways: once a tag matched, or to choose a
+     * victim from a full set.
+     */
+    std::vector<Addr> tags_;
+    std::vector<LineState> states_;
+    std::vector<std::uint64_t> lastUse_;
     std::uint64_t useClock_ = 0;
     sim::StatGroup stats_;
 

@@ -60,11 +60,17 @@ jobStateFinal(JobState s)
 /** Inverse of jobStateName (journal recovery, client parsing). */
 JobState jobStateFromName(const std::string &name);
 
+/** Longest wall-clock budget a job may carry, in seconds (about 31
+ *  years): beyond any experiment, yet small enough that the deadline,
+ *  counted in steady_clock nanoseconds, cannot overflow. */
+constexpr double kMaxTimeoutSec = 1e9;
+
 /** What a client submits: the runs plus per-job execution limits. */
 struct JobSpec
 {
     std::vector<spec::RunSpec> runs; ///< canonical specs, one per run
-    double timeoutSec = 0.0;   ///< 0 = manager default (0 there = none)
+    double timeoutSec = 0.0;   ///< 0 = manager default (0 there = none);
+                               ///  at most kMaxTimeoutSec
     unsigned maxInFlight = 0;  ///< cap on this job's concurrent runs
     bool captureStatDumps = false; ///< keep the full stat dump per run
     std::string tag;           ///< caller label, carried through verbatim

@@ -5,6 +5,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <iostream>
+#include <numeric>
 #include <set>
 #include <sstream>
 
@@ -97,6 +98,46 @@ appendQuiet(Journal *jp, const std::string &payload) noexcept
     }
 }
 
+/**
+ * Run indices of @p runs in dispatch order: largest serial payload
+ * first, ties in index order. Each distinct (workload, wl) program is
+ * built once; when every run shares one program nothing is built and
+ * the order is the index order. A program that fails to build counts
+ * as payload 0 — its run fails when it executes, as it would anyway.
+ */
+std::vector<std::size_t>
+dispatchOrder(const std::vector<spec::RunSpec> &runs)
+{
+    std::vector<std::size_t> order(runs.size());
+    std::iota(order.begin(), order.end(), std::size_t{0});
+    const bool oneProgram =
+        std::all_of(runs.begin(), runs.end(), [&](const spec::RunSpec &r) {
+            return r.workload == runs[0].workload && r.wl == runs[0].wl;
+        });
+    if (oneProgram)
+        return order;
+
+    std::map<std::pair<std::string, spec::WorkloadArgs>, Cycle> built;
+    std::vector<Cycle> payload(runs.size());
+    for (std::size_t i = 0; i < runs.size(); ++i) {
+        const auto [it, fresh] =
+            built.try_emplace({runs[i].workload, runs[i].wl}, 0);
+        if (fresh) {
+            try {
+                it->second =
+                    spec::Engine::buildProgram(runs[i]).serialPayloadCycles();
+            } catch (...) {
+            }
+        }
+        payload[i] = it->second;
+    }
+    std::stable_sort(order.begin(), order.end(),
+                     [&](std::size_t a, std::size_t b) {
+                         return payload[a] > payload[b];
+                     });
+    return order;
+}
+
 } // namespace
 
 /** One job's full bookkeeping. Lives behind a unique_ptr so the
@@ -107,7 +148,8 @@ struct JobManager::Rec
     JobSpec spec;
     JobState state = JobState::Queued;
     std::vector<RunRow> rows;       ///< rows[i] pairs with spec.runs[i]
-    std::size_t nextRun = 0;        ///< first undispatched run index
+    std::vector<std::size_t> order; ///< run indices in dispatch order
+    std::size_t nextRun = 0;        ///< first undispatched slot of order
     std::size_t doneRuns = 0;       ///< dispatched runs that returned
     std::size_t inFlight = 0;
     rt::CancelToken token;
@@ -229,6 +271,13 @@ JobManager::submit(JobSpec spec)
 {
     if (spec.runs.empty())
         throw spec::SpecError("job has no runs");
+    const double timeoutSec =
+        spec.timeoutSec > 0.0 ? spec.timeoutSec : defaultTimeoutSec_;
+    if (!(timeoutSec <= kMaxTimeoutSec)) { // NaN fails too
+        throw spec::SpecError("job timeout " + std::to_string(timeoutSec) +
+                              " s exceeds the 1e9 s limit");
+    }
+    std::vector<std::size_t> order = dispatchOrder(spec.runs);
 
     const std::lock_guard<std::mutex> lk(lock_);
     if (stopping_ || draining_)
@@ -242,8 +291,8 @@ JobManager::submit(JobSpec spec)
     auto rec = std::make_unique<Rec>();
     rec->id = ++lastId_;
     rec->rows.resize(spec.runs.size());
-    rec->timeoutSec =
-        spec.timeoutSec > 0.0 ? spec.timeoutSec : defaultTimeoutSec_;
+    rec->order = std::move(order);
+    rec->timeoutSec = timeoutSec;
     rec->maxInFlight =
         spec.maxInFlight != 0 ? spec.maxInFlight : defaultMaxInFlight_;
     rec->spec = std::move(spec);
@@ -410,25 +459,25 @@ JobManager::drain()
     });
 }
 
-/** First (job, run) eligible for dispatch, in strict admission order.
- *  Caller holds lock_. */
+/** First job, in strict admission order, with a run eligible for
+ *  dispatch; its nextRun then names that run's slot in the job's
+ *  dispatch order (largest payload first). Caller holds lock_. */
 JobManager::Rec *
-JobManager::pickRun(std::size_t &runIdx)
+JobManager::pickRun()
 {
     for (const std::uint64_t id : queue_.items()) {
         Rec *rec = find(id);
         if (rec == nullptr)
             continue;
-        // Rows recovered from the journal are already done; dispatch
-        // resumes at the first gap.
-        while (rec->nextRun < rec->spec.runs.size() &&
-               rec->rows[rec->nextRun].done)
+        // Rows recovered from the journal, or finished before a drain
+        // rewound the cursor, are already done; skip them.
+        while (rec->nextRun < rec->order.size() &&
+               rec->rows[rec->order[rec->nextRun]].done)
             ++rec->nextRun;
-        if (rec->nextRun >= rec->spec.runs.size())
+        if (rec->nextRun >= rec->order.size())
             continue;
         if (rec->maxInFlight != 0 && rec->inFlight >= rec->maxInFlight)
             continue;
-        runIdx = rec->nextRun;
         return rec;
     }
     return nullptr;
@@ -470,20 +519,20 @@ JobManager::workerLoop()
 {
     std::unique_lock<std::mutex> lk(lock_);
     while (true) {
-        std::size_t idx = 0;
         Rec *rec = nullptr;
         dispatchCv_.wait(lk, [&] {
             if (stopping_)
                 return true;
             if (paused_)
                 return false;
-            rec = pickRun(idx);
+            rec = pickRun();
             return rec != nullptr;
         });
         if (stopping_)
             return;
 
-        rec->nextRun = idx + 1;
+        const std::size_t slot = rec->nextRun++;
+        const std::size_t idx = rec->order[slot];
         ++rec->inFlight;
         if (rec->state == JobState::Queued) {
             rec->state = JobState::Running;
@@ -497,7 +546,7 @@ JobManager::workerLoop()
                         std::chrono::duration<double>(rec->timeoutSec));
             }
         }
-        if (rec->nextRun >= rec->spec.runs.size())
+        if (rec->nextRun >= rec->order.size())
             queue_.remove(rec->id); // fully dispatched
 
         // Snapshot everything the unlocked run needs. The token address
@@ -560,8 +609,7 @@ JobManager::workerLoop()
             // Shutdown stopped this run, not the user: the row stays
             // unfinished and unjournaled, so a manager restarted on
             // the same journal re-runs it from cycle zero.
-            if (idx < rec->nextRun)
-                rec->nextRun = idx;
+            rec->nextRun = std::min(rec->nextRun, slot);
         } else {
             if (jp != nullptr)
                 appendQuiet(jp, rowRecord(jobId, idx, row));
@@ -725,6 +773,7 @@ JobManager::recover(const std::string &dir)
             continue;
         }
         rec->state = JobState::Queued;
+        rec->order = dispatchOrder(rec->spec.runs);
         rec->nextRun = 0; // pickRun skips the recovered rows
         rec->inFlight = 0;
         rec->deadline.reset(); // the wall-clock budget restarts

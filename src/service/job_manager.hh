@@ -5,8 +5,11 @@
  * A worker pool pulls individual runs off admitted jobs in strict
  * admission (FIFO) order — run-granular dispatch, so one wide job keeps
  * all workers busy while later jobs wait their turn — and executes each
- * through spec::Engine on a private System. Per-run results stream into
- * the job's rows as they finish; observers block on wait()/waitRow().
+ * through spec::Engine on a private System. Within a job, runs start
+ * largest serial payload first (ties in run order), so the longest run
+ * does not start last and leave the other workers idle; submit()
+ * computes that order once. Per-run results stream into the job's rows,
+ * indexed by run, as they finish; observers block on wait()/waitRow().
  *
  * Cancellation and timeouts are cooperative: each job owns an
  * rt::CancelToken, and the job's wall-clock deadline (armed when its
@@ -67,8 +70,11 @@ class JobManager
     JobManager(const JobManager &) = delete;
     JobManager &operator=(const JobManager &) = delete;
 
-    /** Admit @p spec. Throws SpecError on an empty run list or a full
-     *  queue. Returns the job id (monotonically increasing from 1). */
+    /** Admit @p spec. Throws SpecError on an empty run list, a full
+     *  queue, or a resolved timeout that is NaN or above
+     *  kMaxTimeoutSec. Returns the job id (monotonically increasing
+     *  from 1). Builds each distinct program of a multi-program job
+     *  once, before taking the lock, to order its runs. */
     std::uint64_t submit(JobSpec spec);
 
     /**
@@ -123,7 +129,7 @@ class JobManager
 
     Rec *find(std::uint64_t id);
     const Rec *find(std::uint64_t id) const;
-    Rec *pickRun(std::size_t &runIdx); // next dispatchable (job, run)
+    Rec *pickRun(); // next job with a dispatchable run (at its nextRun)
     void finalize(Rec &rec);           // called with lock_ held
     void workerLoop();
     void recover(const std::string &dir); // ctor: replay + compact

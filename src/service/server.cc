@@ -8,6 +8,7 @@
 #include <cerrno>
 #include <cstdlib>
 #include <cstring>
+#include <optional>
 #include <sstream>
 #include <stdexcept>
 
@@ -132,11 +133,26 @@ Server::serveForever()
                 continue;
             break; // listener shut down
         }
-        const std::lock_guard<std::mutex> lk(connLock_);
-        clientFds_.push_back(fd);
-        connections_.emplace_back([this, fd] { handleClient(fd); });
+        std::vector<std::thread> reaped;
+        {
+            const std::lock_guard<std::mutex> lk(connLock_);
+            for (const std::uint64_t conn : finished_) {
+                const auto it = connections_.find(conn);
+                reaped.push_back(std::move(it->second));
+                connections_.erase(it);
+            }
+            finished_.clear();
+            clientFds_.push_back(fd);
+            const std::uint64_t conn = ++lastConn_;
+            connections_.emplace(
+                conn, std::thread([this, fd, conn] { handleClient(fd, conn); }));
+        }
+        // Outside connLock_: a reaped thread may still be on its way
+        // out of handleClient (its close() comes after the lock).
+        for (std::thread &t : reaped)
+            t.join();
     }
-    std::vector<std::thread> conns;
+    std::map<std::uint64_t, std::thread> conns;
     {
         // Kick every connection still blocked in recv(); its thread
         // sees EOF and exits, making the joins below finite. Joining
@@ -146,9 +162,17 @@ Server::serveForever()
         for (const int fd : clientFds_)
             ::shutdown(fd, SHUT_RDWR);
         conns.swap(connections_);
+        finished_.clear();
     }
-    for (std::thread &t : conns)
+    for (auto &[conn, t] : conns)
         t.join();
+}
+
+std::size_t
+Server::connectionThreads() const
+{
+    const std::lock_guard<std::mutex> lk(connLock_);
+    return connections_.size();
 }
 
 void
@@ -173,17 +197,34 @@ Server::cmdSubmit(int fd, wire::LineReader &in, const std::string &line)
         return;
     }
     double timeoutSec = 0.0;
+    std::optional<std::string> badTimeout; // a refused timeout= value
     std::string tag;
     for (std::size_t i = 2; i < toks.size(); ++i) {
-        if (toks[i].rfind("timeout=", 0) == 0)
-            timeoutSec = std::strtod(toks[i].c_str() + 8, nullptr);
-        else if (toks[i].rfind("tag=", 0) == 0)
+        if (toks[i].rfind("timeout=", 0) == 0) {
+            const std::string value = toks[i].substr(8);
+            if (const auto t = wire::parseTimeout(value))
+                timeoutSec = *t;
+            else
+                badTimeout = value;
+        } else if (toks[i].rfind("tag=", 0) == 0) {
             tag = toks[i].substr(4);
+        }
     }
 
     std::string body;
     if (!in.readExact(nbytes, body))
         return; // client went away mid-submit
+
+    if (badTimeout) {
+        // Refused after the body was read, so the stream stays framed.
+        wire::sendAll(fd, "ERR " +
+                              spec::jsonString(
+                                  "SUBMIT timeout= expects seconds in "
+                                  "[0, 1e9], got '" +
+                                  *badTimeout + "'") +
+                              "\n");
+        return;
+    }
 
     try {
         const std::uint64_t id = manager_.submitText(body, timeoutSec, tag);
@@ -226,7 +267,7 @@ Server::cmdResult(int fd, std::uint64_t id)
 }
 
 void
-Server::handleClient(int fd)
+Server::handleClient(int fd, std::uint64_t conn)
 {
     wire::LineReader in(fd, kMaxLineBytes);
     std::string line;
@@ -298,6 +339,7 @@ Server::handleClient(int fd)
         const std::lock_guard<std::mutex> lk(connLock_);
         std::erase(clientFds_, fd); // before close: the fd number may
                                     // be reused the moment it is freed
+        finished_.push_back(conn);  // joined on the next accept
     }
     ::close(fd);
 }

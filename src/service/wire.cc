@@ -6,11 +6,15 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <cctype>
 #include <cerrno>
+#include <cmath>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <map>
 
+#include "service/job.hh"
 #include "spec/json.hh"
 #include "spec/workload_registry.hh"
 
@@ -148,6 +152,21 @@ runResultFromJson(const std::string &json)
     num("workerSubmits", res.workerSubmits);
     num("inlineTasks", res.inlineTasks);
     return res;
+}
+
+std::optional<double>
+parseTimeout(const std::string &text)
+{
+    if (text.empty() ||
+        !(std::isdigit(static_cast<unsigned char>(text[0])) || text[0] == '.'))
+        return std::nullopt;
+    if (text.find_first_not_of("0123456789.eE+-") != std::string::npos)
+        return std::nullopt;
+    char *end = nullptr;
+    const double v = std::strtod(text.c_str(), &end);
+    if (*end != '\0' || !std::isfinite(v) || v > kMaxTimeoutSec)
+        return std::nullopt;
+    return v;
 }
 
 int

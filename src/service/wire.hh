@@ -37,6 +37,7 @@
 #define PICOSIM_SERVICE_WIRE_HH
 
 #include <cstddef>
+#include <optional>
 #include <string>
 
 #include "runtime/runtime.hh"
@@ -50,6 +51,14 @@ std::string runResultJson(const rt::RunResult &res);
 /** Inverse of runResultJson. Throws spec::SpecError on malformed input
  *  (unknown fields are ignored for forward compatibility). */
 rt::RunResult runResultFromJson(const std::string &json);
+
+/**
+ * A timeout in seconds, as SUBMIT's timeout= token and the tools'
+ * --timeout flags spell it: plain decimal (digits, an optional fraction
+ * and exponent; no sign, blank, nan or inf), fully consumed, and in
+ * [0, kMaxTimeoutSec]. nullopt for anything else.
+ */
+std::optional<double> parseTimeout(const std::string &text);
 
 // -- Minimal socket plumbing shared by server and client ----------------
 

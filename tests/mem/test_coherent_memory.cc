@@ -111,6 +111,73 @@ TEST(CoherentMemory, CapacityEviction)
     EXPECT_NE(mem.lineState(0, stride), LineState::Invalid);
 }
 
+TEST(CoherentMemory, WritingALineManyCoresHoldInvalidatesEveryCopy)
+{
+    const MemParams p = params();
+    CoherentMemory mem(4, p);
+    const auto stat = [&mem](const char *name) {
+        return mem.stats().scalarValue(name);
+    };
+    for (CoreId c = 0; c < 4; ++c)
+        mem.read(c, 0x4000);
+    for (CoreId c = 0; c < 4; ++c)
+        EXPECT_EQ(mem.lineState(c, 0x4000), LineState::Shared) << c;
+
+    // Shared -> Modified upgrade: three remote copies invalidated.
+    EXPECT_EQ(mem.write(2, 0x4000), p.hitLatency + p.invalidateExtra);
+    EXPECT_EQ(stat("mem.upgrades"), 1.0);
+    EXPECT_EQ(stat("mem.invalidations"), 3.0);
+    for (CoreId c = 0; c < 4; ++c)
+        EXPECT_EQ(mem.lineState(c, 0x4000),
+                  c == 2 ? LineState::Modified : LineState::Invalid)
+            << c;
+
+    // A second writer misses and pulls the dirty line through memory.
+    EXPECT_EQ(mem.write(0, 0x4000), p.hitLatency + p.missLatency +
+                                        p.dirtyRemoteExtra +
+                                        p.invalidateExtra);
+    EXPECT_EQ(stat("mem.writeMisses"), 1.0);
+    EXPECT_EQ(stat("mem.invalidations"), 4.0);
+    EXPECT_EQ(stat("mem.dirtyRemoteTransfers"), 1.0);
+    EXPECT_EQ(mem.lineState(2, 0x4000), LineState::Invalid);
+    EXPECT_EQ(mem.lineState(0, 0x4000), LineState::Modified);
+
+    // A reader downgrades the dirty owner; both end Shared.
+    EXPECT_EQ(mem.read(3, 0x4000),
+              p.hitLatency + p.missLatency + p.dirtyRemoteExtra);
+    EXPECT_EQ(stat("mem.dirtyRemoteTransfers"), 2.0);
+    EXPECT_EQ(stat("mem.invalidations"), 4.0);
+    EXPECT_EQ(mem.lineState(0, 0x4000), LineState::Shared);
+    EXPECT_EQ(mem.lineState(3, 0x4000), LineState::Shared);
+}
+
+TEST(CoherentMemory, FullSetEvictsItsLeastRecentlyUsedWay)
+{
+    MemParams p = params();
+    p.l1Sets = 2;
+    p.l1Ways = 4;
+    CoherentMemory mem(2, p);
+    const Addr stride = static_cast<Addr>(p.l1Sets) * p.lineBytes;
+    for (Addr w = 0; w < 4; ++w)
+        mem.write(0, w * stride); // set 0 of core 0 full, all Modified
+    mem.read(0, 0);
+    mem.read(0, 2 * stride); // LRU order now: 1, 3, 0, 2
+    mem.read(1, 4 * stride); // core 1's ways of the set are its own
+
+    mem.read(0, 4 * stride); // evicts line 1, which is dirty
+    EXPECT_EQ(mem.lineState(0, stride), LineState::Invalid);
+    EXPECT_EQ(mem.stats().scalarValue("mem.victimWritebacks"), 1.0);
+    for (const Addr kept : {Addr{0}, 2 * stride, 3 * stride})
+        EXPECT_EQ(mem.lineState(0, kept), LineState::Modified) << kept;
+    EXPECT_EQ(mem.lineState(0, 4 * stride), LineState::Shared);
+    EXPECT_EQ(mem.lineState(1, 4 * stride), LineState::Shared);
+
+    mem.read(0, 5 * stride); // next LRU: line 3
+    EXPECT_EQ(mem.lineState(0, 3 * stride), LineState::Invalid);
+    EXPECT_EQ(mem.stats().scalarValue("mem.victimWritebacks"), 2.0);
+    EXPECT_EQ(mem.lineState(1, 4 * stride), LineState::Shared);
+}
+
 TEST(CoherentMemory, StreamTouchChargesPerLine)
 {
     CoherentMemory mem(1, params());

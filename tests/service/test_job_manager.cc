@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <limits>
 #include <string>
 #include <thread>
 #include <vector>
@@ -44,6 +45,39 @@ longSpec()
     s.wl = {{"tasks", 20000}, {"deps", 1}, {"payload", 500}};
     s.canonicalize();
     return s;
+}
+
+/** A quick run of @p workload whose serial payload is tasks x payload
+ *  cycles. */
+spec::RunSpec
+payloadSpec(const char *workload, std::uint64_t tasks, std::uint64_t payload)
+{
+    spec::RunSpec s;
+    s.workload = workload;
+    s.wl = {{"tasks", tasks}, {"deps", 1}, {"payload", payload}};
+    s.canonicalize();
+    return s;
+}
+
+/** Wait for @p id's rows in @p order. After each, the finished rows
+ *  must be exactly a prefix of @p order — all one worker dispatching
+ *  the job in that order can produce. */
+void
+expectRowsFinishIn(JobManager &mgr, std::uint64_t id,
+                   const std::vector<std::size_t> &order)
+{
+    for (std::size_t k = 0; k < order.size(); ++k) {
+        const auto row = mgr.waitRow(id, order[k]);
+        ASSERT_TRUE(row.has_value() && row->done) << "run " << order[k];
+        const std::vector<RunRow> rows = mgr.runRows(id);
+        std::size_t finished = 0;
+        for (const RunRow &r : rows)
+            finished += r.done ? 1 : 0;
+        ASSERT_GE(finished, k + 1);
+        for (std::size_t j = 0; j < finished; ++j)
+            EXPECT_TRUE(rows[order[j]].done)
+                << "run " << order[k] << " finished before run " << order[j];
+    }
 }
 
 JobSpec
@@ -124,6 +158,48 @@ TEST(JobManager, JobsStartInAdmissionOrder)
     EXPECT_EQ(all[2].id, c);
 }
 
+TEST(JobManager, RunsOfAJobDispatchLargestPayloadFirst)
+{
+    JobManager::Params p;
+    p.workers = 1;
+    p.startPaused = true;
+    JobManager mgr(p);
+    JobSpec js;
+    js.runs = {payloadSpec("task-free", 16, 100),
+               payloadSpec("task-free", 64, 100),
+               payloadSpec("task-free", 32, 100),
+               payloadSpec("task-free", 48, 100)};
+    const std::uint64_t id = mgr.submit(js);
+    mgr.resume();
+    expectRowsFinishIn(mgr, id, {1, 3, 2, 0});
+
+    // Rows stay indexed by run, whatever order they ran in.
+    EXPECT_EQ(mgr.wait(id).state, JobState::Done);
+    const std::vector<RunRow> rows = mgr.runRows(id);
+    ASSERT_EQ(rows.size(), js.runs.size());
+    for (std::size_t i = 0; i < rows.size(); ++i)
+        EXPECT_EQ(wire::runResultJson(rows[i].result),
+                  wire::runResultJson(spec::Engine::run(js.runs[i])))
+            << "run " << i;
+}
+
+TEST(JobManager, EqualPayloadsKeepRunOrder)
+{
+    JobManager::Params p;
+    p.workers = 1;
+    p.startPaused = true;
+    JobManager mgr(p);
+    JobSpec js;
+    // Three different programs, each of 6400 payload cycles.
+    js.runs = {payloadSpec("task-free", 64, 100),
+               payloadSpec("task-chain", 64, 100),
+               payloadSpec("task-free", 32, 200)};
+    const std::uint64_t id = mgr.submit(std::move(js));
+    mgr.resume();
+    expectRowsFinishIn(mgr, id, {0, 1, 2});
+    EXPECT_EQ(mgr.wait(id).state, JobState::Done);
+}
+
 TEST(JobManager, CancelWhileQueuedFinalizesWithoutRunning)
 {
     JobManager::Params p;
@@ -196,6 +272,19 @@ TEST(JobManager, TimeoutFires)
     ASSERT_TRUE(rows[0].done);
     EXPECT_EQ(rows[0].result.status, rt::RunStatus::TimedOut);
     EXPECT_FALSE(rows[0].result.completed);
+}
+
+TEST(JobManager, TimeoutPastTheLimitIsRefused)
+{
+    // Its deadline would overflow steady_clock's nanosecond count.
+    JobManager mgr;
+    for (const double t : {1e300, kMaxTimeoutSec * 2,
+                           std::numeric_limits<double>::infinity()}) {
+        JobSpec js = singleRunJob(quickSpec());
+        js.timeoutSec = t;
+        EXPECT_THROW(mgr.submit(std::move(js)), spec::SpecError) << t;
+    }
+    EXPECT_TRUE(mgr.list().empty());
 }
 
 TEST(JobManager, ManagerDefaultTimeoutApplies)

@@ -312,6 +312,48 @@ TEST(Recovery, DrainLeavesTheRunResumable)
               wire::runResultJson(spec::Engine::run(longSpec())));
 }
 
+TEST(Recovery, DrainMidReorderedJobLeavesOnlyTheInterruptedRun)
+{
+    // Dispatch order is largest serial payload first: runs 2 and 1
+    // (task-free, 1.6e7 and 1.2e7 payload cycles, quick to simulate)
+    // before run 0 (the 20k-task chain: 1e7 payload cycles, but the
+    // slowest to simulate, so the drain lands while it runs).
+    const auto wide = [](std::uint64_t payload) {
+        spec::RunSpec s;
+        s.workload = "task-free";
+        s.wl = {{"tasks", 8}, {"deps", 1}, {"payload", payload}};
+        s.canonicalize();
+        return s;
+    };
+    JobSpec js;
+    js.runs = {longSpec(), wide(1500000), wide(2000000)};
+    JobManager::Params p = journaled(freshDir("recover_drain_reordered"));
+    p.workers = 1;
+    std::uint64_t id = 0;
+    {
+        JobManager mgr(p);
+        id = mgr.submit(js);
+        ASSERT_TRUE(mgr.waitRow(id, 2)->done);
+        ASSERT_TRUE(mgr.waitRow(id, 1)->done);
+        mgr.drain(); // run 0 is in flight
+        const std::vector<RunRow> rows = mgr.runRows(id);
+        EXPECT_FALSE(rows[0].done);
+        EXPECT_TRUE(rows[1].done);
+        EXPECT_TRUE(rows[2].done);
+    }
+
+    JobManager mgr(p);
+    EXPECT_EQ(mgr.wait(id).state, JobState::Done);
+    const std::vector<RunRow> rows = mgr.runRows(id);
+    ASSERT_EQ(rows.size(), js.runs.size());
+    for (std::size_t i = 0; i < rows.size(); ++i) {
+        ASSERT_TRUE(rows[i].done) << "run " << i;
+        EXPECT_EQ(wire::runResultJson(rows[i].result),
+                  wire::runResultJson(spec::Engine::run(js.runs[i])))
+            << "run " << i;
+    }
+}
+
 TEST(Recovery, ForeignBuildFailsAJobThatHoldsRows)
 {
     ASSERT_FALSE(buildStamp().empty()) << "binary has no GNU build-id";

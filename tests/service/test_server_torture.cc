@@ -13,6 +13,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <chrono>
 #include <string>
 #include <thread>
 
@@ -168,6 +169,52 @@ TEST_F(TortureServer, RemovedPdesKeyIsRejectedByName)
               "(conservative-PDES) kernel was removed and every run uses "
               "the sequential kernel, so drop it");
     expectHealthy();
+}
+
+TEST_F(TortureServer, SubmitRefusesABadTimeoutByValue)
+{
+    // The body is still read, so the connection stays in step: the
+    // next request on it gets its own reply.
+    const std::string body = "workload=task-free\nwl.tasks=8\n";
+    const int fd = connect();
+    wire::LineReader in(fd);
+    std::string reply;
+    for (const char *bad : {"nan", "inf", "1e300", "-5", "abc", ""}) {
+        ASSERT_TRUE(wire::sendAll(fd, "SUBMIT " +
+                                          std::to_string(body.size()) +
+                                          " timeout=" + bad + "\n" + body));
+        ASSERT_TRUE(in.readLine(reply)) << bad;
+        ASSERT_EQ(reply.rfind("ERR ", 0), 0u) << bad << ": " << reply;
+        EXPECT_EQ(spec::parseJsonString(reply.substr(4)),
+                  std::string("SUBMIT timeout= expects seconds in "
+                              "[0, 1e9], got '") +
+                      bad + "'");
+    }
+    ASSERT_TRUE(wire::sendAll(fd, "PING\n"));
+    ASSERT_TRUE(in.readLine(reply));
+    EXPECT_EQ(reply, "PONG");
+    EXPECT_TRUE(server_->manager().list().empty()); // nothing admitted
+
+    ASSERT_TRUE(wire::sendAll(fd, "SUBMIT " + std::to_string(body.size()) +
+                                      " timeout=30\n" + body));
+    ASSERT_TRUE(in.readLine(reply));
+    EXPECT_EQ(reply.rfind("OK ", 0), 0u) << reply;
+    ::close(fd);
+}
+
+TEST_F(TortureServer, FinishedConnectionThreadsAreJoined)
+{
+    // One connection after another, as picosim_submit makes them.
+    for (int i = 0; i < 40; ++i)
+        expectHealthy();
+    // Each accept joins the threads that finished before it; a thread
+    // still on its way out waits for the next one. A few more
+    // connections, spaced out, let any such straggler go.
+    for (int i = 0; i < 10 && server_->connectionThreads() > 2; ++i) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(20));
+        expectHealthy();
+    }
+    EXPECT_LE(server_->connectionThreads(), 2u);
 }
 
 TEST_F(TortureServer, RealWorkStillRunsAfterTheAbuse)

@@ -141,3 +141,14 @@ TEST(Wire, MalformedJsonThrows)
     EXPECT_THROW(spec::parseFlatJson("{\"a\" 1}"), spec::SpecError);
     EXPECT_THROW(wire::runResultFromJson("[1,2]"), spec::SpecError);
 }
+
+TEST(Wire, TimeoutIsFiniteUnsignedDecimalSeconds)
+{
+    EXPECT_EQ(wire::parseTimeout("0"), 0.0);
+    EXPECT_EQ(wire::parseTimeout("2.5"), 2.5);
+    EXPECT_EQ(wire::parseTimeout(".5"), 0.5);
+    EXPECT_EQ(wire::parseTimeout("1e9"), 1e9);
+    for (const char *bad : {"", "nan", "NaN", "inf", "-5", "+1", " 1", "abc",
+                            "1s", "1e300", "1e10", "0x10", "1.5.2", "."})
+        EXPECT_FALSE(wire::parseTimeout(bad).has_value()) << "'" << bad << "'";
+}

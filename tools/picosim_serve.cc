@@ -27,7 +27,8 @@
  *                of the daemon is failed instead, its rows kept.
  *
  * A bad flag is a usage error (exit 2); numeric values are plain
- * decimal, so a sign or an empty value is one too. The server runs
+ * decimal, so a sign or an empty value is one too, and so is a timeout
+ * that is not finite or exceeds 1e9 seconds. The server runs
  * until a client sends SHUTDOWN (exit 0) or it receives SIGTERM/SIGINT
  * (exit 3). Both paths drain: dispatching stops, in-flight runs stop at
  * their next deterministic boundary and are left unfinished in the
@@ -43,6 +44,7 @@
 #include <string>
 
 #include "service/server.hh"
+#include "service/wire.hh"
 #include "spec/run_spec.hh"
 
 using namespace picosim;
@@ -100,7 +102,6 @@ main(int argc, char **argv)
                 usage(msg);
             }
         };
-        char *end = nullptr;
         if (key == "port") {
             params.port = static_cast<unsigned short>(
                 count(65535, "--port expects a port number"));
@@ -113,10 +114,10 @@ main(int argc, char **argv)
             params.manager.maxQueued =
                 count(SIZE_MAX, "--max-queued expects an integer");
         } else if (key == "timeout") {
-            params.manager.defaultTimeoutSec =
-                std::strtod(value.c_str(), &end);
-            if (*end != '\0' || params.manager.defaultTimeoutSec < 0)
-                usage("--timeout expects seconds");
+            const auto t = svc::wire::parseTimeout(value);
+            if (!t)
+                usage("--timeout expects seconds in [0, 1e9]");
+            params.manager.defaultTimeoutSec = *t;
         } else if (key == "journal") {
             if (value.empty())
                 usage("--journal expects a directory");

@@ -104,9 +104,10 @@ parseArgs(int argc, char **argv)
         } else if (key == "host") opt.host = value;
         else if (key == "spec") opt.specPath = value;
         else if (key == "timeout") {
-            opt.timeoutSec = std::strtod(value.c_str(), &end);
-            if (value.empty() || *end != '\0' || opt.timeoutSec < 0)
-                usage("--timeout expects seconds");
+            const auto t = wire::parseTimeout(value);
+            if (!t)
+                usage("--timeout expects seconds in [0, 1e9]");
+            opt.timeoutSec = *t;
         } else if (key == "tag") opt.tag = value;
         else if (key == "print") {
             if (value != "cli" && value != "rows")
