@@ -98,42 +98,56 @@ appendQuiet(Journal *jp, const std::string &payload) noexcept
     }
 }
 
+/** Why a job's resolved timeout @p sec is refused: it is NaN or so
+ *  long that its deadline would overflow. Empty when it is accepted. */
+std::string
+timeoutRefusal(double sec)
+{
+    if (sec <= kMaxTimeoutSec)
+        return {};
+    char t[32];
+    std::snprintf(t, sizeof(t), "%g", sec);
+    return std::string("job timeout ") + t + " s exceeds the 1e9 s limit";
+}
+
 /**
  * Run indices of @p runs in dispatch order: largest serial payload
  * first, ties in index order. Each distinct (workload, wl) program is
- * built once; when every run shares one program nothing is built and
- * the order is the index order. A program that fails to build counts
- * as payload 0 — its run fails when it executes, as it would anyway.
+ * built once, and only when the job has two or more of them: with one,
+ * every payload ties and the order is the index order. A program that
+ * fails to build counts as payload 0 — its run fails when it executes,
+ * as it would anyway.
  */
 std::vector<std::size_t>
 dispatchOrder(const std::vector<spec::RunSpec> &runs)
 {
     std::vector<std::size_t> order(runs.size());
     std::iota(order.begin(), order.end(), std::size_t{0});
-    const bool oneProgram =
-        std::all_of(runs.begin(), runs.end(), [&](const spec::RunSpec &r) {
-            return r.workload == runs[0].workload && r.wl == runs[0].wl;
-        });
-    if (oneProgram)
-        return order;
 
-    std::map<std::pair<std::string, spec::WorkloadArgs>, Cycle> built;
-    std::vector<Cycle> payload(runs.size());
+    std::map<std::pair<std::string, spec::WorkloadArgs>, std::size_t> ids;
+    std::vector<std::size_t> firstRun;        // program -> a run naming it
+    std::vector<std::size_t> program(runs.size()); // run -> program
     for (std::size_t i = 0; i < runs.size(); ++i) {
         const auto [it, fresh] =
-            built.try_emplace({runs[i].workload, runs[i].wl}, 0);
-        if (fresh) {
-            try {
-                it->second =
-                    spec::Engine::buildProgram(runs[i]).serialPayloadCycles();
-            } catch (...) {
-            }
+            ids.try_emplace({runs[i].workload, runs[i].wl}, firstRun.size());
+        if (fresh)
+            firstRun.push_back(i);
+        program[i] = it->second;
+    }
+    if (firstRun.size() < 2)
+        return order;
+
+    std::vector<Cycle> payload(firstRun.size(), 0);
+    for (std::size_t p = 0; p < firstRun.size(); ++p) {
+        try {
+            payload[p] = spec::Engine::buildProgram(runs[firstRun[p]])
+                             .serialPayloadCycles();
+        } catch (...) {
         }
-        payload[i] = it->second;
     }
     std::stable_sort(order.begin(), order.end(),
                      [&](std::size_t a, std::size_t b) {
-                         return payload[a] > payload[b];
+                         return payload[program[a]] > payload[program[b]];
                      });
     return order;
 }
@@ -273,20 +287,27 @@ JobManager::submit(JobSpec spec)
         throw spec::SpecError("job has no runs");
     const double timeoutSec =
         spec.timeoutSec > 0.0 ? spec.timeoutSec : defaultTimeoutSec_;
-    if (!(timeoutSec <= kMaxTimeoutSec)) { // NaN fails too
-        throw spec::SpecError("job timeout " + std::to_string(timeoutSec) +
-                              " s exceeds the 1e9 s limit");
+    if (const std::string why = timeoutRefusal(timeoutSec); !why.empty())
+        throw spec::SpecError(why);
+    const auto refuseIfClosed = [this] { // lock_ held
+        if (stopping_ || draining_)
+            throw spec::SpecError("job manager is shutting down");
+        if (queue_.full()) {
+            throw spec::SpecError("job queue full (" +
+                                  std::to_string(queue_.size()) +
+                                  " jobs queued)");
+        }
+    };
+    {
+        // Refuse before building programs for a job that cannot be
+        // admitted; admission is decided under the lock below.
+        const std::lock_guard<std::mutex> lk(lock_);
+        refuseIfClosed();
     }
     std::vector<std::size_t> order = dispatchOrder(spec.runs);
 
     const std::lock_guard<std::mutex> lk(lock_);
-    if (stopping_ || draining_)
-        throw spec::SpecError("job manager is shutting down");
-    if (queue_.full()) {
-        throw spec::SpecError("job queue full (" +
-                              std::to_string(queue_.size()) +
-                              " jobs queued)");
-    }
+    refuseIfClosed();
 
     auto rec = std::make_unique<Rec>();
     rec->id = ++lastId_;
@@ -757,6 +778,16 @@ JobManager::recover(const std::string &dir)
             rec->doneRuns == rec->spec.runs.size()) {
             finalize(*rec); // journal_ is still null: compaction below
                             // writes the state record durably
+            continue;
+        }
+        // Older builds journaled any timeout a client sent; one that
+        // would overflow the deadline must not reach workerLoop.
+        if (std::string why = timeoutRefusal(rec->timeoutSec);
+            !why.empty()) {
+            rec->state = JobState::Failed;
+            rec->error = std::move(why);
+            std::cerr << "picosim journal: job " << id << " failed: "
+                      << rec->error << "\n";
             continue;
         }
         if (foreign && rec->doneRuns > 0) {

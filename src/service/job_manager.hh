@@ -58,7 +58,8 @@ class JobManager
          *  finished rows survive a crash: the next manager pointed at
          *  the same directory re-queues unfinished jobs verbatim and
          *  re-runs their missing runs from cycle zero. A job that holds
-         *  rows from a different build (see buildStamp) is failed
+         *  rows from a different build (see buildStamp), or whose
+         *  journaled timeout is above kMaxTimeoutSec, is failed
          *  instead of being finished by this one. */
         std::string journalDir;
     };
@@ -71,10 +72,11 @@ class JobManager
     JobManager &operator=(const JobManager &) = delete;
 
     /** Admit @p spec. Throws SpecError on an empty run list, a full
-     *  queue, or a resolved timeout that is NaN or above
-     *  kMaxTimeoutSec. Returns the job id (monotonically increasing
-     *  from 1). Builds each distinct program of a multi-program job
-     *  once, before taking the lock, to order its runs. */
+     *  queue, a draining or stopping manager, or a resolved timeout
+     *  that is NaN or above kMaxTimeoutSec. Returns the job id
+     *  (monotonically increasing from 1). To order the runs, builds
+     *  each distinct program of a multi-program job once, outside the
+     *  lock and only after a first admission check passed. */
     std::uint64_t submit(JobSpec spec);
 
     /**

@@ -410,6 +410,48 @@ TEST(Recovery, ForeignBuildFailsAJobThatHoldsRows)
     }
 }
 
+TEST(Recovery, OverflowingJournaledTimeoutFailsTheJob)
+{
+    // Older builds journaled whatever timeout a client sent, inf and
+    // 1e300 included. Recovery must fail such a job rather than re-run
+    // it and arm a deadline that overflows steady_clock.
+    for (const std::string bad : {"inf", "1e+300", "nan"}) {
+        const std::string dir = freshDir("recover_bad_timeout");
+        std::uint64_t id = 0;
+        {
+            JobManager mgr(journaled(dir, /*paused=*/true));
+            id = mgr.submit(twoRunJob());
+        }
+        std::vector<std::string> records = Journal::readAll(dir, nullptr);
+        const std::string none = "\"timeout\":0,";
+        std::string &submit = records.at(1);
+        const std::size_t at = submit.find(none);
+        ASSERT_NE(at, std::string::npos) << submit;
+        submit.replace(at, none.size(), "\"timeout\":" + bad + ",");
+        Journal::rewrite(dir, records);
+
+        for (int restart = 0; restart < 2; ++restart) {
+            ::testing::internal::CaptureStderr();
+            JobManager mgr(journaled(dir));
+            const std::string diag =
+                ::testing::internal::GetCapturedStderr();
+            const JobStatus st = *mgr.status(id);
+            EXPECT_EQ(st.state, JobState::Failed) << bad;
+            EXPECT_NE(st.error.find("exceeds the 1e9 s limit"),
+                      std::string::npos)
+                << st.error;
+            EXPECT_EQ(st.runsDone, 0u);
+            EXPECT_EQ(st.startSeq, 0u);
+            EXPECT_FALSE(mgr.waitRow(id, 0)->done);
+            if (restart == 0) {
+                EXPECT_NE(diag.find("job " + std::to_string(id) + " failed"),
+                          std::string::npos)
+                    << diag;
+            }
+        }
+    }
+}
+
 TEST(Recovery, PreStampJournalKeepsEveryRowVerbatim)
 {
     const std::string dir = freshDir("recover_pre_stamp");
