@@ -42,30 +42,6 @@ PicosManager::PicosManager(const sim::Clock &clock,
     bindFastDispatch<PicosManager>();
 }
 
-void
-PicosManager::reset()
-{
-    for (auto &port : ports_) {
-        port.requestQueue.clear();
-        port.subBuffer.clear();
-        port.readyQueue.clear();
-        port.retireBuffer.clear();
-    }
-    grantedCore_ = -1;
-    burstRemaining_ = 0;
-    padRemaining_ = 0;
-    rrSubNext_ = 0;
-    finalBuffer_.clear();
-    routingQueue_.clear();
-    roccReadyQueue_.clear();
-    encodeCount_ = 0;
-    rrRetireNext_ = 0;
-    pendingRequests_ = 0;
-    pendingRetires_ = 0;
-    deliveryVisibleAt_ = 0;
-    errorCode_ = 0;
-}
-
 // -- Delegate-facing interface ----------------------------------------
 
 bool

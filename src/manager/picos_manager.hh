@@ -108,8 +108,6 @@ class PicosManager final : public sim::Ticked
     /** Debug interface (Section IV-F1): sticky 4-bit error code. */
     std::uint8_t errorCode() const { return errorCode_; }
 
-    void reset();
-
   private:
     /**
      * The delegate-facing side of one core's link to the manager: four

@@ -100,11 +100,4 @@ DepTable::validEntries() const
     return n;
 }
 
-void
-DepTable::clear()
-{
-    for (auto &e : entries_)
-        e = DepEntry{};
-}
-
 } // namespace picosim::picos

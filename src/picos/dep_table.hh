@@ -4,8 +4,8 @@
  *
  * Storage only: entries map a monitored address to the last writer and the
  * readers since that writer. All dependence *logic* (RAW/WAW/WAR edges,
- * liveness filtering, eviction legality) lives in picos::Picos, which owns
- * the task table the references point into.
+ * liveness filtering, eviction legality) lives in picos::TaskTable, which
+ * owns the task entries the references point into.
  */
 
 #ifndef PICOSIM_PICOS_DEP_TABLE_HH
@@ -80,8 +80,6 @@ class DepTable
 
     /** Number of valid entries (for stats/tests). */
     std::size_t validEntries() const;
-
-    void clear();
 
   private:
     unsigned setOf(Addr addr) const;

@@ -13,7 +13,9 @@
  * station holds in-flight tasks; the dependence table tracks, per monitored
  * address, the last writer and the readers since then, from which RAW, WAW
  * and WAR edges are derived (Section III-A). Retirement wakes dependents
- * and re-feeds the ready scheduler.
+ * and re-feeds the ready scheduler. The reservation station, the edge
+ * walk and the wakeup rule are the shared picos::TaskTable; Picos adds
+ * its single DepTable, its FIFOs and the gateway FSM.
  */
 
 #ifndef PICOSIM_PICOS_PICOS_HH
@@ -26,6 +28,7 @@
 #include "picos/dep_table.hh"
 #include "picos/picos_params.hh"
 #include "picos/scheduler_if.hh"
+#include "picos/task_table.hh"
 #include "rocc/task_packets.hh"
 #include "sim/clock.hh"
 #include "sim/port.hh"
@@ -34,14 +37,6 @@
 
 namespace picosim::picos
 {
-
-/** Lifecycle of a task reservation entry. */
-enum class TaskState : std::uint8_t {
-    Free,    ///< entry unused
-    Waiting, ///< has unresolved dependences
-    Ready,   ///< queued for / streaming to the ready interface
-    Running, ///< handed to a core, awaiting retirement
-};
 
 class Picos final : public sim::Ticked, public SchedulerIf
 {
@@ -102,13 +97,16 @@ class Picos final : public sim::Ticked, public SchedulerIf
     Cycle nextSelfDue(Cycle next) const;
 
     // -- Introspection (tests, stats) --
-    unsigned inFlightTasks() const { return inFlight_; }
+    unsigned inFlightTasks() const { return table_.inFlight(); }
     bool quiescent() const;
     const PicosParams &params() const { return params_; }
-    TaskState taskState(std::uint32_t picos_id) const;
+    TaskState taskState(std::uint32_t picos_id) const
+    {
+        return table_.state(picos_id);
+    }
     std::size_t depTableEntries() const { return depTable_.validEntries(); }
-    std::uint64_t tasksProcessed() const { return tasksProcessed_; }
-    std::uint64_t tasksRetired() const { return tasksRetired_; }
+    std::uint64_t tasksProcessed() const { return table_.processed(); }
+    std::uint64_t tasksRetired() const { return table_.retired(); }
 
     /** The gateway waits for a dependence-table way (Stalled). */
     bool depTableStalled() const { return gwState_ == GwState::Stalled; }
@@ -116,30 +114,7 @@ class Picos final : public sim::Ticked, public SchedulerIf
     /** The gateway refuses a descriptor because the TRS is full. */
     bool trsStalled() const { return trsStalls_.open(); }
 
-    void reset();
-
   private:
-    struct TaskEntry
-    {
-        TaskState state = TaskState::Free;
-        std::uint32_t gen = 0;
-        std::uint64_t swId = 0;
-        unsigned pendingDeps = 0;
-        std::vector<TaskRef> dependents;
-
-        /** Descriptor still being applied by the gateway: retirements
-         *  must not mark the task ready yet — deps beyond a table-stall
-         *  resume point may still add edges. */
-        bool applying = false;
-    };
-
-    bool alive(const TaskRef &ref) const;
-    TaskRef refOf(std::uint32_t id) const;
-    bool entryEvictable(const DepEntry &entry) const;
-
-    /** Allocate a TRS entry; returns id or -1 when full. */
-    int allocTask();
-
     /** Run the gateway FSM for one cycle. */
     void tickGateway();
 
@@ -147,13 +122,8 @@ class Picos final : public sim::Ticked, public SchedulerIf
      *  if all table allocations succeeded (otherwise stall and retry). */
     bool applyDescriptor();
 
-    /** Add edge producer -> consumer (consumer waits on producer). */
-    void addEdge(const TaskRef &producer, std::uint32_t consumer_id);
-
     void tickReadyIssue();
     void tickRetire();
-
-    void markReady(std::uint32_t id);
 
     /** Wake the manager after a pop from a queue it found full. */
     void wakeListener();
@@ -165,11 +135,7 @@ class Picos final : public sim::Ticked, public SchedulerIf
     // every packet/edge, so the hot path never does a name lookup.
     sim::Scalar *statSubPackets_;
     sim::Scalar *statRetirePackets_;
-    sim::Scalar *statDepEdges_;
-    sim::Scalar *statReadyIssued_;
     sim::Scalar *statBadRetires_;
-    sim::Scalar *statRetires_;
-    sim::Distribution *statInFlight_;
 
     // Gateway stalls, counted per cycle while Picos sleeps through them.
     sim::StallSpan depTableStalls_;
@@ -190,12 +156,8 @@ class Picos final : public sim::Ticked, public SchedulerIf
     std::size_t gwDepIndex_ = 0; ///< resume point across table stalls
     rocc::TaskDescriptor gwDesc_;
 
-    // Task reservation station.
-    std::vector<TaskEntry> tasks_;
-    std::deque<std::uint32_t> freeList_;
-    unsigned inFlight_ = 0;
-
-    // Dependence table.
+    // Task reservation station (one slice) and dependence table.
+    TaskTable table_;
     DepTable depTable_;
 
     // Ready scheduling.
@@ -208,9 +170,6 @@ class Picos final : public sim::Ticked, public SchedulerIf
 
     // Ready-interface consumer woken when ready packets become visible.
     sim::Ticked *readyListener_ = nullptr;
-
-    std::uint64_t tasksProcessed_ = 0;
-    std::uint64_t tasksRetired_ = 0;
 };
 
 } // namespace picosim::picos

@@ -62,39 +62,31 @@ ShardedPicos::ShardedPicos(const sim::Clock &clock,
       topo_(topo), stats_(stats),
       statSubPackets_(&stats.scalar("sharded.subPackets")),
       statRetirePackets_(&stats.scalar("sharded.retirePackets")),
-      statDepEdges_(&stats.scalar("sharded.depEdges")),
       statCrossShardEdges_(&stats.scalar("sharded.crossShardEdges")),
       statTasksProcessed_(&stats.scalar("sharded.tasksProcessed")),
       statCrossShardNotifies_(&stats.scalar("sharded.crossShardNotifies")),
-      statRetires_(&stats.scalar("sharded.retires")),
       statBadRetires_(&stats.scalar("sharded.badRetires")),
-      statReadyIssued_(&stats.scalar("sharded.readyIssued")),
       statSteals_(&stats.scalar("sharded.steals")),
-      statInFlight_(&stats.dist("sharded.inFlight"))
+      table_(stats, "sharded", topo.schedShards, params.trsEntries)
 {
     if (topo_.schedShards == 0 || topo_.clusters == 0)
         sim::fatal("ShardedPicos needs at least one shard and one cluster");
 
-    tasks_.assign(std::size_t{topo_.schedShards} * params_.trsEntries,
-                  TaskEntry{});
     // The cross-shard notification word packs (cluster, id); refuse any
     // topology the encoding cannot address rather than corrupt wakeups.
-    if (tasks_.size() > std::size_t{kNotifyIdMask} + 1 ||
+    if (table_.size() > std::size_t{kNotifyIdMask} + 1 ||
         topo_.clusters > (1u << (32 - kNotifyClusterShift)))
         sim::fatal("topology exceeds the cross-shard notification "
                    "encoding (ids or clusters too large)");
     retireServed_.assign(topo_.schedShards, 0);
     // Worst-case forwarded wakeups in flight: every edge of every
     // in-flight task crossing shards at once.
-    const std::size_t notify_cap = tasks_.size() * rocc::kMaxDeps + 1;
+    const std::size_t notify_cap = table_.size() * rocc::kMaxDeps + 1;
 
     shards_.reserve(topo_.schedShards);
-    for (unsigned s = 0; s < topo_.schedShards; ++s) {
+    for (unsigned s = 0; s < topo_.schedShards; ++s)
         shards_.emplace_back(clock, params_, topo_, stats, s, this,
                              notify_cap);
-        for (std::uint32_t i = 0; i < params_.trsEntries; ++i)
-            shards_[s].freeList.push_back(s * params_.trsEntries + i);
-    }
     clusters_.reserve(topo_.clusters);
     ports_.reserve(topo_.clusters);
     for (unsigned c = 0; c < topo_.clusters; ++c) {
@@ -169,37 +161,7 @@ ShardedPicos::ClusterPort::retirePush(std::uint32_t picos_id)
     return true;
 }
 
-// -- Shared task-table helpers ------------------------------------------
-
-bool
-ShardedPicos::alive(const TaskRef &ref) const
-{
-    if (!ref.valid || ref.id >= tasks_.size())
-        return false;
-    const TaskEntry &e = tasks_[ref.id];
-    return e.gen == ref.gen && e.state != TaskState::Free;
-}
-
-TaskRef
-ShardedPicos::refOf(std::uint32_t id) const
-{
-    return TaskRef{id, tasks_[id].gen, true};
-}
-
-bool
-ShardedPicos::entryEvictable(const DepEntry &entry) const
-{
-    if (alive(entry.lastWriter))
-        return false;
-    return std::none_of(entry.readers.begin(), entry.readers.end(),
-                        [this](const TaskRef &r) { return alive(r); });
-}
-
-unsigned
-ShardedPicos::homeShardOf(std::uint32_t id) const
-{
-    return id / params_.trsEntries;
-}
+// -- Dependence management ----------------------------------------------
 
 unsigned
 ShardedPicos::shardOfDesc(const rocc::TaskDescriptor &desc,
@@ -223,113 +185,45 @@ ShardedPicos::descOccupancy(const rocc::TaskDescriptor &desc,
     return occ;
 }
 
-void
-ShardedPicos::addEdge(const TaskRef &producer, std::uint32_t consumer_id)
-{
-    if (!alive(producer) || producer.id == consumer_id)
-        return;
-    tasks_[producer.id].dependents.push_back(refOf(consumer_id));
-    ++tasks_[consumer_id].pendingDeps;
-    ++*statDepEdges_;
-    if (homeShardOf(producer.id) != homeShardOf(consumer_id)) {
-        ++crossShardEdges_;
-        ++*statCrossShardEdges_;
-    }
-}
-
 bool
 ShardedPicos::applyDescriptor(Shard &sh)
 {
     const auto id = static_cast<std::uint32_t>(sh.gwTaskId);
-    TaskEntry &task = tasks_[id];
-
-    // KEEP IN SYNC with Picos::applyDescriptor (picos.cc): same
-    // RAW/WAW/WAR walk and stall-resume protocol, differing only in
-    // table routing (per-shard slices), cross-shard accounting and
-    // ready placement. A semantic fix to one engine applies to both.
-    //
-    // One dependence at a time with gwDepIndex as the resume point, so a
-    // table-conflict stall (in any shard's slice) retries idempotently.
-    while (sh.gwDepIndex < sh.gwDesc.deps.size()) {
-        const rocc::TaskDep &dep = sh.gwDesc.deps[sh.gwDepIndex];
-        DepTable &table =
-            shards_[DepTable::shardOf(dep.addr, topo_.schedShards)].table;
-        DepEntry *e = table.find(dep.addr);
-        if (!e) {
-            e = table.alloc(dep.addr, [this](const DepEntry &de) {
-                return entryEvictable(de);
-            });
-            if (!e) {
-                sh.depTableStalls.fail(
-                    shardLive(clock_.now(), homeShardOf(id)));
-                return false;
+    const Cycle live = shardLive(clock_.now(), table_.sliceOf(id));
+    // Table lookups route to the address's shard; a stall in any slice
+    // holds this gateway.
+    const TaskTable::Applied applied = table_.apply(
+        id, sh.gwDesc, sh.gwDepIndex,
+        [this](Addr addr) -> DepTable & {
+            return shards_[DepTable::shardOf(addr, topo_.schedShards)]
+                .table;
+        },
+        [this](std::uint32_t producer, std::uint32_t consumer) {
+            if (table_.sliceOf(producer) != table_.sliceOf(consumer)) {
+                ++crossShardEdges_;
+                ++*statCrossShardEdges_;
             }
-        }
-        std::erase_if(e->readers,
-                      [this](const TaskRef &r) { return !alive(r); });
-
-        switch (dep.dir) {
-          case rocc::Dir::In:
-            addEdge(e->lastWriter, id); // RAW
-            e->readers.push_back(refOf(id));
-            break;
-          case rocc::Dir::Out:
-          case rocc::Dir::InOut:
-            addEdge(e->lastWriter, id); // WAW (and RAW for InOut)
-            for (const TaskRef &r : e->readers)
-                addEdge(r, id); // WAR
-            e->lastWriter = refOf(id);
-            e->readers.clear();
-            break;
-        }
-        ++sh.gwDepIndex;
+        });
+    if (applied == TaskTable::Applied::Stalled) {
+        sh.depTableStalls.fail(live);
+        return false;
     }
-
-    sh.depTableStalls.clear(shardLive(clock_.now(), homeShardOf(id)));
-    task.swId = sh.gwDesc.swId;
-    ++tasksProcessed_;
+    sh.depTableStalls.clear(live);
     ++*statTasksProcessed_;
-    ++inFlight_;
-    statInFlight_->sample(inFlight_);
-    // Only now may wakeups ready this task: producers that retired
-    // during a mid-walk table stall were counted but deferred.
-    task.applying = false;
-    if (task.pendingDeps == 0) {
-        markReady(id, task.homeCluster);
-    } else {
-        task.state = TaskState::Waiting;
-    }
+    if (applied == TaskTable::Applied::Ready)
+        clusters_[table_.homeCluster(id)].readyPending.push_back(id);
     return true;
-}
-
-void
-ShardedPicos::markReady(std::uint32_t id, unsigned cluster)
-{
-    tasks_[id].state = TaskState::Ready;
-    tasks_[id].homeCluster = cluster;
-    clusters_[cluster].readyPending.push_back(id);
 }
 
 void
 ShardedPicos::wakeDependent(std::uint32_t id, unsigned cluster)
 {
-    TaskEntry &d = tasks_[id];
-    if (d.pendingDeps == 0)
-        sim::panic("dependence underflow on wakeup");
-    // The last wakeup decides where the task becomes ready: the cluster
-    // that executed its (final) producer, for data affinity — dependence
-    // chains then stay cluster-local instead of funnelling back to the
-    // submitting master's cluster and relying on steals to spread out.
-    // A task whose descriptor is still mid-application at a stalled
-    // gateway must not be readied here — its remaining deps may add
-    // edges. Record the affinity hint so the deferred markReady in
-    // applyDescriptor still honours the placement rule.
-    if (--d.pendingDeps == 0 && d.state == TaskState::Waiting) {
-        if (d.applying)
-            d.homeCluster = cluster;
-        else
-            markReady(id, cluster);
-    }
+    // The last wakeup places the task at the cluster that executed its
+    // (final) producer, for data affinity: dependence chains then stay
+    // cluster-local instead of funnelling back to the submitting
+    // master's cluster and relying on steals to spread out.
+    if (table_.wake(id, cluster))
+        clusters_[cluster].readyPending.push_back(id);
 }
 
 // -- Pipelines ----------------------------------------------------------
@@ -354,37 +248,25 @@ ShardedPicos::tickNotify()
 }
 
 void
-ShardedPicos::finishRetire(Shard &sh, std::uint32_t id)
+ShardedPicos::finishRetire(std::uint32_t id)
 {
-    const Cycle now = clock_.now();
-    TaskEntry &t = tasks_[id];
-    Cycle cost = params_.retireCycles;
-    const unsigned shard = homeShardOf(id);
-    const unsigned exec_cluster = t.homeCluster; // where @p id last ran
-    for (const TaskRef &dep : t.dependents) {
-        if (!alive(dep))
-            continue;
-        cost += params_.wakeupCycles;
-        if (homeShardOf(dep.id) == shard) {
-            wakeDependent(dep.id, exec_cluster);
-        } else {
+    const unsigned shard = table_.sliceOf(id);
+    const unsigned woken =
+        table_.retire(id, [this, shard](std::uint32_t dep, unsigned cl) {
+            const unsigned home = table_.sliceOf(dep);
+            if (home == shard) {
+                wakeDependent(dep, cl);
+                return;
+            }
             // Forward the wakeup (dependent id + affinity cluster) to
             // the dependent's home shard.
-            const std::uint32_t packed =
-                dep.id | (exec_cluster << kNotifyClusterShift);
-            if (!shards_[homeShardOf(dep.id)].notifyQueue.push(packed))
+            const std::uint32_t packed = dep | (cl << kNotifyClusterShift);
+            if (!shards_[home].notifyQueue.push(packed))
                 sim::panic("cross-shard notify queue overflow");
             ++*statCrossShardNotifies_;
-        }
-    }
-    t.dependents.clear();
-    t.state = TaskState::Free;
-    ++t.gen;
-    sh.freeList.push_back(id);
-    --inFlight_;
-    ++tasksRetired_;
-    sh.retireBusyUntil = now + cost;
-    ++*statRetires_;
+        });
+    shards_[shard].retireBusyUntil =
+        clock_.now() + params_.retireCycles + woken * params_.wakeupCycles;
 }
 
 void
@@ -410,21 +292,20 @@ ShardedPicos::tickRetire()
             cl.retireQueue.pop();
         };
         const std::uint32_t id = cl.retireQueue.front();
-        if (id >= tasks_.size() ||
-            tasks_[id].state != TaskState::Running) {
+        if (table_.state(id) != TaskState::Running) {
             pop();
             ++*statBadRetires_;
             PSIM_WARN(clock_, "sharded",
                       "retire of task " << id << " in invalid state");
             continue;
         }
-        const unsigned s = homeShardOf(id);
+        const unsigned s = table_.sliceOf(id);
         // A down home shard blocks its retirements head-of-line, just
         // like a busy retire pipeline — in-order service per cluster.
         if (served[s] || shards_[s].retireBusyUntil > now || shardDown(s))
             continue;
         pop();
-        finishRetire(shards_[s], id);
+        finishRetire(id);
         served[s] = true;
         if (first < 0)
             first = static_cast<int>(c);
@@ -445,7 +326,7 @@ ShardedPicos::tickGateways()
         if (sh.gwTaskId < 0) {
             if (sh.inQueue.empty() || now < sh.inQueue.front().readyAt)
                 continue;
-            if (sh.freeList.empty()) {
+            if (!table_.hasFree(s)) {
                 // Backpressure: hold the descriptor at the gateway until
                 // a retirement frees a reservation entry.
                 sh.trsStalls.fail(shardLive(now, s));
@@ -453,16 +334,8 @@ ShardedPicos::tickGateways()
             }
             sh.trsStalls.clear(shardLive(now, s));
             PendingDesc &pending = sh.inQueue.front();
-            const std::uint32_t id = sh.freeList.front();
-            sh.freeList.pop_front();
-            TaskEntry &t = tasks_[id];
-            t.swId = 0;
-            t.pendingDeps = 0;
-            t.dependents.clear();
-            t.state = TaskState::Waiting;
-            t.applying = true;
-            t.homeCluster = pending.homeCluster;
-            sh.gwTaskId = static_cast<int>(id);
+            sh.gwTaskId = static_cast<int>(
+                table_.claim(s, pending.desc.swId, pending.homeCluster));
             sh.gwDepIndex = 0;
             sh.gwDesc = std::move(pending.desc);
             sh.inQueue.pop_front();
@@ -522,17 +395,9 @@ ShardedPicos::tickReadyIssue()
     for (unsigned c = 0; c < clusters_.size(); ++c) {
         Cluster &cl = clusters_[c];
         if (cl.readyIssuingId >= 0 && now >= cl.readyBusyUntil) {
-            // Stream the three packets of the ready descriptor.
-            if (cl.readyQueue.capacity() - cl.readyQueue.size() < 3)
+            if (!table_.issue(static_cast<std::uint32_t>(cl.readyIssuingId),
+                              cl.readyQueue))
                 continue; // wait for space
-            const TaskEntry &t = tasks_[cl.readyIssuingId];
-            cl.readyQueue.push(
-                static_cast<std::uint32_t>(cl.readyIssuingId));
-            cl.readyQueue.push(static_cast<std::uint32_t>(t.swId >> 32));
-            cl.readyQueue.push(
-                static_cast<std::uint32_t>(t.swId & 0xffffffffu));
-            tasks_[cl.readyIssuingId].state = TaskState::Running;
-            ++*statReadyIssued_;
             cl.readyIssuingId = -1;
             // The pushes themselves woke the ready listener (the port's
             // owner) at the tuple's ready cycle.
@@ -543,8 +408,7 @@ ShardedPicos::tickReadyIssue()
             cl.readyIssuingId = static_cast<int>(cl.readyPending.front());
             cl.readyPending.pop_front();
             cl.readyBusyUntil = now + params_.readyIssueCycles;
-        } else if (topo_.workStealing &&
-                   cl.readyQueue.capacity() - cl.readyQueue.size() >= 3) {
+        } else if (topo_.workStealing && TaskTable::tupleFits(cl.readyQueue)) {
             // Local queue ran dry: steal from the longest remote queue
             // (LIFO end), paying the remote-access penalty.
             int victim = -1;
@@ -561,7 +425,7 @@ ShardedPicos::tickReadyIssue()
                 Cluster &vc = clusters_[victim];
                 const std::uint32_t id = vc.readyPending.back();
                 vc.readyPending.pop_back();
-                tasks_[id].homeCluster = c;
+                table_.setHomeCluster(id, c);
                 cl.readyIssuingId = static_cast<int>(id);
                 cl.readyBusyUntil = now + params_.readyIssueCycles +
                                     topo_.stealPenaltyCycles;
@@ -605,7 +469,7 @@ ShardedPicos::nextSelfDue(Cycle next) const
             // A TRS stall is tried once, to open its span, then waits
             // for a retirement on this shard.
             const Cycle at = sh.inQueue.front().readyAt;
-            if (at > now || !sh.freeList.empty() || !sh.trsStalls.open() ||
+            if (at > now || table_.hasFree(s) || !sh.trsStalls.open() ||
                 down)
                 merge(gateFault(at, down));
         }
@@ -636,27 +500,25 @@ ShardedPicos::nextSelfDue(Cycle next) const
                 // In-order service: the head waits for its home shard's
                 // retire pipeline; a bad retire is dropped next cycle.
                 const std::uint32_t id = cl.retireQueue.front();
-                if (id >= tasks_.size() ||
-                    tasks_[id].state != TaskState::Running) {
+                if (table_.state(id) != TaskState::Running) {
                     merge(next);
                 } else {
-                    const unsigned s = homeShardOf(id);
+                    const unsigned s = table_.sliceOf(id);
                     merge(gateFault(shards_[s].retireBusyUntil,
                                     shardDown(s)));
                 }
             }
         }
 
-        const std::size_t room =
-            cl.readyQueue.capacity() - cl.readyQueue.size();
+        const bool fits = TaskTable::tupleFits(cl.readyQueue);
         if (cl.readyIssuingId >= 0) {
             if (cl.readyBusyUntil > now)
                 merge(cl.readyBusyUntil);
-            else if (room >= 3)
+            else if (fits)
                 merge(next);
         } else if (!cl.readyPending.empty()) {
             merge(next);
-        } else if (topo_.workStealing && room >= 3) {
+        } else if (topo_.workStealing && fits) {
             freeCluster = true;
         }
         pending = pending || !cl.readyPending.empty();
@@ -686,7 +548,7 @@ ShardedPicos::settleStats(Cycle boundary)
 bool
 ShardedPicos::quiescent() const
 {
-    if (inFlight_ != 0)
+    if (table_.inFlight() != 0)
         return false;
     for (const Shard &sh : shards_) {
         if (sh.gwTaskId >= 0 || !sh.inQueue.empty() ||
@@ -701,14 +563,6 @@ ShardedPicos::quiescent() const
             return false;
     }
     return true;
-}
-
-TaskState
-ShardedPicos::taskState(std::uint32_t picos_id) const
-{
-    if (picos_id >= tasks_.size())
-        return TaskState::Free;
-    return tasks_[picos_id].state;
 }
 
 } // namespace picosim::picos

@@ -28,6 +28,9 @@
  *
  * Each cluster-facing SchedulerIf port speaks the exact packet protocol
  * of the single Picos, so PicosManager is reused unchanged per cluster.
+ * The reservation entries, the RAW/WAW/WAR walk, the wakeup rule and the
+ * ready tuple are the single Picos's picos::TaskTable, one slice per
+ * shard; this layer adds the routing, fabrics, faults and placement.
  */
 
 #ifndef PICOSIM_PICOS_SHARDED_PICOS_HH
@@ -39,9 +42,9 @@
 #include <vector>
 
 #include "picos/dep_table.hh"
-#include "picos/picos.hh"
 #include "picos/picos_params.hh"
 #include "picos/scheduler_if.hh"
+#include "picos/task_table.hh"
 #include "picos/topology.hh"
 #include "rocc/task_packets.hh"
 #include "sim/clock.hh"
@@ -95,13 +98,16 @@ class ShardedPicos final : public sim::Ticked
     // -- Introspection (tests, stats) --
     unsigned numShards() const { return topo_.schedShards; }
     unsigned numClusters() const { return topo_.clusters; }
-    unsigned inFlightTasks() const { return inFlight_; }
+    unsigned inFlightTasks() const { return table_.inFlight(); }
     bool quiescent() const;
-    std::uint64_t tasksProcessed() const { return tasksProcessed_; }
-    std::uint64_t tasksRetired() const { return tasksRetired_; }
+    std::uint64_t tasksProcessed() const { return table_.processed(); }
+    std::uint64_t tasksRetired() const { return table_.retired(); }
     std::uint64_t crossShardEdges() const { return crossShardEdges_; }
     std::uint64_t workSteals() const { return steals_; }
-    TaskState taskState(std::uint32_t picos_id) const;
+    TaskState taskState(std::uint32_t picos_id) const
+    {
+        return table_.state(picos_id);
+    }
     const PicosParams &params() const { return params_; }
 
     /** Shard @p s's gateway refuses a descriptor: its TRS slice is full. */
@@ -119,20 +125,6 @@ class ShardedPicos final : public sim::Ticked
     }
 
   private:
-    struct TaskEntry
-    {
-        TaskState state = TaskState::Free;
-        std::uint32_t gen = 0;
-        std::uint64_t swId = 0;
-        unsigned pendingDeps = 0;
-        std::vector<TaskRef> dependents;
-        unsigned homeCluster = 0; ///< submitting (then executing) cluster
-
-        /** Descriptor still being applied at a gateway: wakeups must not
-         *  mark the task ready yet — later deps may add more edges. */
-        bool applying = false;
-    };
-
     /** A decoded descriptor granted to a shard gateway. */
     struct PendingDesc
     {
@@ -151,12 +143,12 @@ class ShardedPicos final : public sim::Ticked
         sim::Arbiter gate; ///< gateway serialization across clusters
         std::deque<PendingDesc> inQueue;
 
-        // Gateway apply state (mirrors Picos's Process/Stalled resume).
+        // The descriptor being applied; gwDepIndex is the walk's resume
+        // point across dependence-table stalls.
         int gwTaskId = -1;
         std::size_t gwDepIndex = 0;
         rocc::TaskDescriptor gwDesc;
 
-        std::deque<std::uint32_t> freeList; ///< global ids of this slice
         Cycle retireBusyUntil = 0;
 
         // Gateway stalls on this shard's live timeline (shardLive).
@@ -213,20 +205,14 @@ class ShardedPicos final : public sim::Ticked
         unsigned c_;
     };
 
-    bool alive(const TaskRef &ref) const;
-    TaskRef refOf(std::uint32_t id) const;
-    bool entryEvictable(const DepEntry &entry) const;
-    unsigned homeShardOf(std::uint32_t id) const;
     unsigned shardOfDesc(const rocc::TaskDescriptor &desc,
                          const Cluster &cl) const;
     Cycle descOccupancy(const rocc::TaskDescriptor &desc,
                         unsigned home) const;
 
-    void addEdge(const TaskRef &producer, std::uint32_t consumer_id);
     bool applyDescriptor(Shard &sh);
-    void markReady(std::uint32_t id, unsigned cluster);
     void wakeDependent(std::uint32_t id, unsigned cluster);
-    void finishRetire(Shard &sh, std::uint32_t id);
+    void finishRetire(std::uint32_t id);
 
     void tickNotify();
     void tickRetire();
@@ -316,29 +302,22 @@ class ShardedPicos final : public sim::Ticked
     // Cached stat-registry slots for the per-packet/per-edge counters.
     sim::Scalar *statSubPackets_;
     sim::Scalar *statRetirePackets_;
-    sim::Scalar *statDepEdges_;
     sim::Scalar *statCrossShardEdges_;
     sim::Scalar *statTasksProcessed_;
     sim::Scalar *statCrossShardNotifies_;
-    sim::Scalar *statRetires_;
     sim::Scalar *statBadRetires_;
-    sim::Scalar *statReadyIssued_;
     sim::Scalar *statSteals_;
-    sim::Distribution *statInFlight_;
 
+    TaskTable table_; ///< global TRS, one slice per shard
     std::vector<Shard> shards_;
     std::vector<Cluster> clusters_;
     std::vector<ClusterPort> ports_;
 
     sim::FaultPlan fault_{}; ///< armed KillShard/StallLink fault, if any
 
-    std::vector<TaskEntry> tasks_; ///< global TRS, sliced per shard
-    unsigned inFlight_ = 0;
     unsigned rrRetire_ = 0; ///< retire arbiter round-robin over clusters
     std::vector<char> retireServed_; ///< per-shard scratch for tickRetire
 
-    std::uint64_t tasksProcessed_ = 0;
-    std::uint64_t tasksRetired_ = 0;
     std::uint64_t crossShardEdges_ = 0;
     std::uint64_t steals_ = 0;
 };

@@ -71,7 +71,6 @@ struct JobSpec
     std::vector<spec::RunSpec> runs; ///< canonical specs, one per run
     double timeoutSec = 0.0;   ///< 0 = manager default (0 there = none);
                                ///  at most kMaxTimeoutSec
-    unsigned maxInFlight = 0;  ///< cap on this job's concurrent runs
     bool captureStatDumps = false; ///< keep the full stat dump per run
     std::string tag;           ///< caller label, carried through verbatim
 };

@@ -169,15 +169,14 @@ struct JobManager::Rec
     rt::CancelToken token;
     bool cancelRequested = false;
     double timeoutSec = 0.0;        ///< resolved (spec or manager default)
-    unsigned maxInFlight = 0;       ///< resolved
     /** Armed when the first run is dispatched. */
     std::optional<SteadyClock::time_point> deadline;
     std::uint64_t startSeq = 0;
     std::string error;
 
     /** Journal record re-creating this job on recovery. Stores the
-     *  RESOLVED timeout/in-flight limits, so a restart with different
-     *  manager defaults cannot silently change an admitted job. */
+     *  RESOLVED timeout, so a restart with a different manager default
+     *  cannot silently change an admitted job. */
     std::string
     submitRecord() const
     {
@@ -188,7 +187,6 @@ struct JobManager::Rec
         std::snprintf(t, sizeof(t), "%.17g", timeoutSec);
         jsonKey(j, "timeout");
         j += t;
-        jsonNum(j, "maxInFlight", maxInFlight);
         jsonNum(j, "capture", spec.captureStatDumps ? 1 : 0);
         jsonNum(j, "runs", spec.runs.size());
         for (std::size_t i = 0; i < spec.runs.size(); ++i) {
@@ -231,7 +229,6 @@ JobManager::JobManager() : JobManager(Params{}) {}
 
 JobManager::JobManager(const Params &params)
     : defaultTimeoutSec_(params.defaultTimeoutSec),
-      defaultMaxInFlight_(params.maxInFlightPerJob),
       queue_(params.maxQueued), paused_(params.startPaused)
 {
     if (!params.journalDir.empty()) {
@@ -314,8 +311,6 @@ JobManager::submit(JobSpec spec)
     rec->rows.resize(spec.runs.size());
     rec->order = std::move(order);
     rec->timeoutSec = timeoutSec;
-    rec->maxInFlight =
-        spec.maxInFlight != 0 ? spec.maxInFlight : defaultMaxInFlight_;
     rec->spec = std::move(spec);
 
     const std::uint64_t id = rec->id;
@@ -401,21 +396,6 @@ JobManager::wait(std::uint64_t id)
     return rec->snapshot();
 }
 
-std::optional<JobStatus>
-JobManager::waitFor(std::uint64_t id, double seconds)
-{
-    std::unique_lock<std::mutex> lk(lock_);
-    const Rec *rec = find(id);
-    if (rec == nullptr)
-        throw spec::SpecError("unknown job " + std::to_string(id));
-    const bool finished = resultCv_.wait_for(
-        lk, std::chrono::duration<double>(seconds),
-        [&] { return jobStateFinal(rec->state); });
-    if (!finished)
-        return std::nullopt;
-    return rec->snapshot();
-}
-
 std::optional<RunRow>
 JobManager::waitRow(std::uint64_t id, std::size_t idx)
 {
@@ -496,8 +476,6 @@ JobManager::pickRun()
                rec->rows[rec->order[rec->nextRun]].done)
             ++rec->nextRun;
         if (rec->nextRun >= rec->order.size())
-            continue;
-        if (rec->maxInFlight != 0 && rec->inFlight >= rec->maxInFlight)
             continue;
         return rec;
     }
@@ -699,10 +677,9 @@ JobManager::recover(const std::string &dir)
                 rec->spec.tag = get("tag");
                 rec->timeoutSec = std::strtod(get("timeout").c_str(),
                                               nullptr);
-                rec->maxInFlight =
-                    static_cast<unsigned>(getU64("maxInFlight"));
                 rec->spec.timeoutSec = rec->timeoutSec;
-                rec->spec.maxInFlight = rec->maxInFlight;
+                // Older builds also journaled a per-job "maxInFlight"
+                // cap; it is ignored, and compaction drops it.
                 rec->spec.captureStatDumps = getU64("capture") != 0;
                 const std::size_t n =
                     static_cast<std::size_t>(getU64("runs"));

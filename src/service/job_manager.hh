@@ -50,7 +50,6 @@ class JobManager
         unsigned workers = 0;      ///< worker threads (0 = hw concurrency)
         std::size_t maxQueued = 0; ///< job admission cap (0 = unbounded)
         double defaultTimeoutSec = 0.0;  ///< used when JobSpec has none
-        unsigned maxInFlightPerJob = 0;  ///< used when JobSpec has none
         bool startPaused = false;  ///< admit without dispatching (tests)
 
         /** Directory of the durable job journal ("" = volatile manager,
@@ -99,9 +98,6 @@ class JobManager
     /** Block until the job reaches a final state. */
     JobStatus wait(std::uint64_t id);
 
-    /** wait() with a timeout; nullopt when still live after @p sec. */
-    std::optional<JobStatus> waitFor(std::uint64_t id, double seconds);
-
     /** Block until run @p idx finished — or the job finalized without
      *  running it (row.done stays false). nullopt: unknown id/index. */
     std::optional<RunRow> waitRow(std::uint64_t id, std::size_t idx);
@@ -137,7 +133,6 @@ class JobManager
     void recover(const std::string &dir); // ctor: replay + compact
 
     const double defaultTimeoutSec_;
-    const unsigned defaultMaxInFlight_;
     unsigned workers_ = 1;
     std::unique_ptr<Journal> journal_; ///< null = volatile manager
 

@@ -90,9 +90,6 @@ class StallSpan
         through_ = p;
     }
 
-    /** Forget an open span without counting it (component reset). */
-    void reset() { open_ = false; }
-
   private:
     Scalar *stat_;
     Cycle through_ = 0; ///< last position already counted

@@ -471,3 +471,38 @@ TEST(PicosNoPoll, TrsStallSleepsUntilRetirement)
     EXPECT_FALSE(w.picos.trsStalled());
     EXPECT_EQ(w.picos.tasksProcessed(), 2u);
 }
+
+TEST(PicosNoPoll, WakeupDuringAStalledWalkWaitsForTheWalk)
+{
+    // One set of two ways. Producers A and B hold both ways; consumer C
+    // reads A's address (an edge to A), then a third address, whose
+    // allocation stalls the walk on the full set.
+    PicosParams p;
+    p.dctSets = 1;
+    p.dctWays = 2;
+    PicosWake w(p);
+    w.submit(1, {{0x100, Dir::Out}});                   // A
+    w.submit(2, {{0x200, Dir::Out}});                   // B
+    w.submit(3, {{0x100, Dir::In}, {0x300, Dir::In}}); // C
+    w.sim.runFor(500);
+    const std::uint32_t a = w.popTuple();
+    const std::uint32_t b = w.popTuple();
+    ASSERT_TRUE(w.picos.depTableStalled());
+    ASSERT_EQ(w.stat("picos.depEdges"), 1.0);
+
+    // A retires: C's only edge resolves mid-walk, yet C is not issued,
+    // since its remaining dependence may still add edges.
+    ASSERT_TRUE(w.picos.retirePush(a));
+    w.sim.runFor(500);
+    EXPECT_TRUE(w.picos.depTableStalled());
+    EXPECT_FALSE(w.picos.readyValid());
+    EXPECT_EQ(w.stat("picos.readyIssued"), 2.0);
+
+    // B's retirement frees a way: the walk completes and readies C.
+    ASSERT_TRUE(w.picos.retirePush(b));
+    w.sim.runFor(500);
+    EXPECT_FALSE(w.picos.depTableStalled());
+    EXPECT_EQ(w.picos.tasksProcessed(), 3u);
+    ASSERT_TRUE(w.picos.readyValid());
+    EXPECT_EQ(w.picos.taskState(w.popTuple()), TaskState::Running);
+}

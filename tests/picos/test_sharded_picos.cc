@@ -11,9 +11,11 @@
 
 #include "apps/workloads.hh"
 #include "picos/dep_table.hh"
+#include "picos/sharded_picos.hh"
 #include "runtime/harness.hh"
 #include "runtime/phentos.hh"
 #include "runtime/task_trace.hh"
+#include "sim/kernel.hh"
 
 using namespace picosim;
 using namespace picosim::rt;
@@ -304,4 +306,72 @@ TEST(Topology, SinglePicosTopologyKeepsTheCentralizedPath)
     EXPECT_EQ(sys.sharded(), nullptr);
     EXPECT_EQ(sys.numClusters(), 1u);
     EXPECT_NO_THROW(sys.picos());
+}
+TEST(ShardedStallDefer, WakeupDuringAStalledWalkKeepsItsPlacement)
+{
+    // One shard of one set of two ways, two clusters, no stealing.
+    // Producer A (via cluster 1) and B (via cluster 0) hold both ways;
+    // consumer C (via cluster 0) reads A's address, an edge to A, then
+    // a third address, whose allocation stalls the walk.
+    picos::PicosParams p;
+    p.dctSets = 1;
+    p.dctWays = 2;
+    picos::TopologyParams topo;
+    topo.schedShards = 1;
+    topo.clusters = 2;
+    topo.workStealing = false;
+    sim::Simulator sim;
+    picos::ShardedPicos sp(sim.clock(), p, topo, sim.stats());
+    sim.addTicked(&sp);
+    picos::SchedulerIf &c0 = sp.clusterPort(0);
+    picos::SchedulerIf &c1 = sp.clusterPort(1);
+
+    const auto submit = [&sim](picos::SchedulerIf &port, std::uint64_t id,
+                               std::vector<rocc::TaskDep> deps) {
+        rocc::TaskDescriptor desc;
+        desc.swId = id;
+        desc.deps = std::move(deps);
+        auto pkts = rocc::encodeNonZero(desc);
+        pkts.resize(rocc::kDescriptorPackets, 0);
+        for (std::uint32_t pkt : pkts) {
+            while (!port.subPush(pkt))
+                sim.runFor(1);
+        }
+        sim.runFor(200);
+    };
+    const auto popTuple = [](picos::SchedulerIf &port) {
+        EXPECT_TRUE(port.readyValid());
+        const std::uint32_t id = port.readyPop();
+        const std::uint64_t hi = port.readyPop();
+        return std::pair{id, (hi << 32) | port.readyPop()};
+    };
+    const double stalls0 = sim.stats().scalarValue("sharded.depTableStalls");
+
+    submit(c1, 1, {{0x100, rocc::Dir::Out}});                         // A
+    submit(c0, 2, {{0x200, rocc::Dir::Out}});                         // B
+    submit(c0, 3, {{0x100, rocc::Dir::In}, {0x300, rocc::Dir::In}}); // C
+    const std::uint32_t a = popTuple(c1).first;
+    const std::uint32_t b = popTuple(c0).first;
+    sim.runFor(200);
+    ASSERT_EQ(sp.tasksProcessed(), 2u);
+    ASSERT_GT(sim.stats().scalarValue("sharded.depTableStalls"), stalls0);
+    ASSERT_EQ(sim.stats().scalarValue("sharded.depEdges"), 1.0);
+
+    // A retires: C's only edge resolves mid-walk, yet C is not issued.
+    ASSERT_TRUE(c1.retirePush(a));
+    sim.runFor(500);
+    EXPECT_EQ(sp.tasksProcessed(), 2u);
+    EXPECT_FALSE(c0.readyValid());
+    EXPECT_FALSE(c1.readyValid());
+
+    // B's retirement frees a way: the walk completes, and C is ready at
+    // cluster 1, which executed A, not at cluster 0, which submitted C.
+    ASSERT_TRUE(c0.retirePush(b));
+    sim.runFor(500);
+    EXPECT_EQ(sp.tasksProcessed(), 3u);
+    EXPECT_FALSE(c0.readyValid());
+    ASSERT_TRUE(c1.readyValid());
+    const auto [c, sw] = popTuple(c1);
+    EXPECT_EQ(sw, 3u);
+    EXPECT_EQ(sp.taskState(c), picos::TaskState::Running);
 }

@@ -441,10 +441,9 @@ TEST(JobManager, PoolShapeDoesNotChangeRows)
     matrix.push_back(matrix.back()); // duplicates of one spec
     matrix.push_back(matrix.back());
 
-    const auto rowsOf = [&](unsigned workers, unsigned maxInFlight) {
+    const auto rowsOf = [&](unsigned workers) {
         JobManager::Params p;
         p.workers = workers;
-        p.maxInFlightPerJob = maxInFlight;
         JobManager mgr(p);
         JobSpec js;
         js.runs = matrix;
@@ -455,14 +454,13 @@ TEST(JobManager, PoolShapeDoesNotChangeRows)
             rows.push_back(wire::runResultJson(row.result));
         return rows;
     };
-    const std::vector<std::string> one = rowsOf(1, 0);
+    const std::vector<std::string> one = rowsOf(1);
     ASSERT_EQ(one.size(), matrix.size());
     for (std::size_t i = 0; i < matrix.size(); ++i) {
         EXPECT_EQ(one[i], wire::runResultJson(spec::Engine::run(matrix[i])))
             << i;
     }
-    EXPECT_EQ(rowsOf(4, 0), one);
-    EXPECT_EQ(rowsOf(4, 1), one);
+    EXPECT_EQ(rowsOf(4), one);
 }
 
 TEST(JobManager, PerJobTimeoutOnlyStopsThatJob)

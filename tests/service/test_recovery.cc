@@ -83,13 +83,22 @@ journaled(const std::string &dir, bool paused = false)
     return p;
 }
 
-/** A job of two quick runs, dispatched one after the other. */
+/** journaled() with one worker: a job's runs start one after the
+ *  other. */
+JobManager::Params
+journaledSerial(const std::string &dir, bool paused = false)
+{
+    JobManager::Params p = journaled(dir, paused);
+    p.workers = 1;
+    return p;
+}
+
+/** A job of two quick runs, for a journaledSerial() manager. */
 JobSpec
 twoRunJob()
 {
     JobSpec js;
     js.runs = {quickSpec(), quickSpec()};
-    js.maxInFlight = 1;
     return js;
 }
 
@@ -361,7 +370,7 @@ TEST(Recovery, ForeignBuildFailsAJobThatHoldsRows)
     std::uint64_t id = 0;
     std::string row0;
     {
-        JobManager mgr(journaled(dir));
+        JobManager mgr(journaledSerial(dir));
         id = mgr.submit(twoRunJob());
         EXPECT_EQ(mgr.wait(id).state, JobState::Done);
         row0 = wire::runResultJson(mgr.waitRow(id, 0)->result);
@@ -377,7 +386,7 @@ TEST(Recovery, ForeignBuildFailsAJobThatHoldsRows)
 
     for (int restart = 0; restart < 2; ++restart) {
         ::testing::internal::CaptureStderr();
-        JobManager mgr(journaled(dir));
+        JobManager mgr(journaledSerial(dir));
         const std::string diag = ::testing::internal::GetCapturedStderr();
         const JobStatus st = *mgr.status(id);
         EXPECT_EQ(st.state, JobState::Failed) << "restart " << restart;
@@ -419,7 +428,7 @@ TEST(Recovery, OverflowingJournaledTimeoutFailsTheJob)
         const std::string dir = freshDir("recover_bad_timeout");
         std::uint64_t id = 0;
         {
-            JobManager mgr(journaled(dir, /*paused=*/true));
+            JobManager mgr(journaledSerial(dir, /*paused=*/true));
             id = mgr.submit(twoRunJob());
         }
         std::vector<std::string> records = Journal::readAll(dir, nullptr);
@@ -432,7 +441,7 @@ TEST(Recovery, OverflowingJournaledTimeoutFailsTheJob)
 
         for (int restart = 0; restart < 2; ++restart) {
             ::testing::internal::CaptureStderr();
-            JobManager mgr(journaled(dir));
+            JobManager mgr(journaledSerial(dir));
             const std::string diag =
                 ::testing::internal::GetCapturedStderr();
             const JobStatus st = *mgr.status(id);
@@ -458,7 +467,7 @@ TEST(Recovery, PreStampJournalKeepsEveryRowVerbatim)
     std::uint64_t id = 0;
     std::vector<std::string> served;
     {
-        JobManager mgr(journaled(dir));
+        JobManager mgr(journaledSerial(dir));
         id = mgr.submit(twoRunJob());
         EXPECT_EQ(mgr.wait(id).state, JobState::Done);
         for (std::size_t i = 0; i < 2; ++i)
@@ -495,7 +504,7 @@ TEST(Recovery, PreStampJournalKeepsEveryRowVerbatim)
     // A finished job is not refused: it mixes nothing. Compaction stamps
     // the journal and drops only the checkpoint records.
     for (int restart = 0; restart < 2; ++restart) {
-        JobManager mgr(journaled(dir, /*paused=*/true));
+        JobManager mgr(journaledSerial(dir, /*paused=*/true));
         EXPECT_EQ(mgr.status(id)->state, JobState::Done);
         for (std::size_t i = 0; i < 2; ++i) {
             const auto row = mgr.waitRow(id, i);
@@ -505,4 +514,36 @@ TEST(Recovery, PreStampJournalKeepsEveryRowVerbatim)
         EXPECT_EQ(Journal::readAll(dir, nullptr), survivors)
             << "restart " << restart;
     }
+}
+
+TEST(Recovery, OldInFlightCapKeyIsIgnoredAndCompactedAway)
+{
+    // Builds that had a per-job in-flight cap journaled it in every
+    // submit record, between the timeout and the capture flag. Such a
+    // job still recovers and runs; compaction drops the key.
+    const std::string dir = freshDir("recover_in_flight_cap");
+    std::uint64_t id = 0;
+    {
+        JobManager mgr(journaled(dir, /*paused=*/true));
+        id = mgr.submit(twoRunJob());
+    }
+    std::vector<std::string> records = Journal::readAll(dir, nullptr);
+    std::string &submit = records.at(1);
+    const std::size_t at = submit.find("\"capture\":");
+    ASSERT_NE(at, std::string::npos) << submit;
+    submit.insert(at, "\"maxInFlight\":1,");
+    Journal::rewrite(dir, records);
+
+    {
+        JobManager mgr(journaledSerial(dir));
+        EXPECT_EQ(mgr.wait(id).state, JobState::Done);
+        const std::string want =
+            wire::runResultJson(spec::Engine::run(quickSpec()));
+        for (const RunRow &row : mgr.runRows(id)) {
+            ASSERT_TRUE(row.done);
+            EXPECT_EQ(wire::runResultJson(row.result), want);
+        }
+    }
+    for (const std::string &r : Journal::readAll(dir, nullptr))
+        EXPECT_EQ(r.find("maxInFlight"), std::string::npos) << r;
 }

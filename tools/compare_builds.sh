@@ -49,6 +49,10 @@ done
 configs+=(
     "--workload=task-chain --runtime=phentos --cores=16 --sched-shards=4 --clusters=4"
     "--workload=sparselu --wl.nb=12 --wl.bs=24 --cores=32 --sched-shards=4 --clusters=4"
+    # The perfbench sparselu-32c-timed shape, and a nested program on
+    # the sharded fabric.
+    "--workload=sparselu --wl.nb=40 --wl.bs=6 --wl.seed=8 --cores=32 --sched-shards=4 --clusters=4 --mem=timed"
+    "--workload=cholesky-nested --cores=16 --sched-shards=4 --clusters=4"
     "--workload=task-chain --wl.tasks=64 --mem=timed --runtime=nanos-sw"
     "--workload=task-tree --runtime=phentos --trace=trace.json"
     "--workload=task-tree --runtime=nanos-rv --trace=trace.json"
