@@ -150,6 +150,12 @@ main(int argc, char **argv)
                  bench::canonicalSpec("task-chain",
                           {{"tasks", 256}, {"deps", 1}, {"payload", 1'000}}),
                  repeats);
+    // The timed memory model: every runtime memory access goes through
+    // TimedMemory's bus and main-memory schedule.
+    spec::RunSpec timedChain = bench::canonicalSpec(
+        "task-chain", {{"tasks", 64}}, rt::RuntimeKind::NanosSW);
+    timedChain.mem = mem::MemMode::Timed;
+    compareModes(json, "task-chain 64 timed Nanos-SW", timedChain, repeats);
 
     const unsigned hwThreads =
         std::max(1u, std::thread::hardware_concurrency());

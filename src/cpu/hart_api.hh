@@ -5,8 +5,8 @@
  * Every method is an awaitable operation on the simulated timeline of one
  * hart: custom RoCC instructions charge the 2-cycle RoCC round trip
  * (Section IV-F2), memory operations either charge MESI model latencies
- * inline or suspend on the timed memory subsystem's response port, and
- * executePayload models a task body including bandwidth contention.
+ * inline or suspend until the timed memory subsystem's completion cycle,
+ * and executePayload models a task body including bandwidth contention.
  *
  * Delegate access is a link configuration (sim::LinkTimings): the
  * tightly-coupled RoCC instructions pay the short issue latency, while
@@ -71,9 +71,10 @@ class HartApi
 
     /** Awaitable for one memory operation: inline mode charges the MESI
      *  model's latency as a plain delay (zero-latency hits complete
-     *  without suspending), timed mode issues the request and parks the
-     *  hart until the response port wakes it — bit-identical to the
-     *  former coroutine wrappers, minus their frames. */
+     *  without suspending), timed mode schedules the request at issue and
+     *  suspends the hart until its completion cycle (at least one cycle)
+     *  — bit-identical to the former coroutine wrappers, minus their
+     *  frames. */
     struct MemOpAwait
     {
         enum class Kind : std::uint8_t { Read, Write, Atomic, Stream };
@@ -132,8 +133,9 @@ class HartApi
                     op = isWrite ? mem::MemOp::Write : mem::MemOp::Read;
                     break;
                 }
-                api->timed_->issue(api->core_, op, addr, lines);
-                ctx->suspendBlocked(h);
+                const Cycle done =
+                    api->timed_->issue(api->core_, op, addr, lines);
+                ctx->suspendFor(done - ctx->clock().now(), h);
             } else {
                 ctx->suspendFor(latency, h);
             }
@@ -159,9 +161,6 @@ class HartApi
     delegate::PicosDelegate &delegateRef() { return delegate_; }
     mem::CoherentMemory &memRef() { return mem_; }
     BandwidthModel &bandwidthRef() { return bw_; }
-
-    /** Timed memory subsystem, nullptr in MemMode::Inline. */
-    mem::TimedMemory *timedMem() { return timed_; }
 
     // -- Loosely-coupled (MMIO/AXI) delegate link --
 

@@ -70,10 +70,9 @@ System::System(const SystemParams &params)
     }
 
     // Evaluation order each cycle: cores produce transactions, the
-    // managers move them, the scheduler consumes them, and the timed
-    // memory subsystem schedules this cycle's requests last (harts must
-    // have issued before it runs so responses are armed within the issue
-    // cycle).
+    // managers move them, and the scheduler consumes them. The timed
+    // memory subsystem is not a component: a core's hart schedules its
+    // burst there during the core's own tick.
     for (auto &core : cores_)
         sim_.addTicked(core.get());
     for (auto &mgr : managers_)
@@ -82,12 +81,6 @@ System::System(const SystemParams &params)
         sim_.addTicked(picos_.get());
     if (sharded_)
         sim_.addTicked(sharded_.get());
-    if (timedMem_) {
-        sim_.addTicked(timedMem_.get());
-        for (CoreId i = 0; i < params.numCores; ++i)
-            timedMem_->bindHart(i, &cores_[i]->context(), cores_[i].get());
-    }
-
 }
 
 picos::Picos &

@@ -176,16 +176,6 @@ CoherentMemory::atomicRmw(CoreId core, Addr addr)
     return access(core, addr, MemOp::Atomic).latency;
 }
 
-bool
-CoherentMemory::probeHit(CoreId core, Addr addr, MemOp op) const
-{
-    const std::size_t s = findLine(core, lineAddr(addr));
-    if (s == kNoSlot)
-        return false;
-    return op == MemOp::Read || states_[s] == LineState::Modified ||
-           states_[s] == LineState::Exclusive;
-}
-
 Cycle
 CoherentMemory::streamTouch(CoreId core, Addr base, unsigned lines,
                             bool is_write)

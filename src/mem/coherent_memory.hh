@@ -74,13 +74,6 @@ class CoherentMemory
     AccessDetail access(CoreId core, Addr addr, MemOp op);
 
     /**
-     * Non-mutating hit test: would an access of @p op kind be satisfied
-     * by @p core's L1 alone? (Writes and atomics need M or E.) Used by
-     * the timed front-end for MSHR allocation before committing.
-     */
-    bool probeHit(CoreId core, Addr addr, MemOp op) const;
-
-    /**
      * Charge the latency of touching @p lines distinct lines of payload
      * data with hit ratio implied by footprint vs cache size; cheap summary
      * path used for task payload traffic.

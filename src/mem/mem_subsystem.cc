@@ -2,123 +2,74 @@
 
 #include <algorithm>
 
-#include "sim/log.hh"
-
 namespace picosim::mem
 {
 
 TimedMemory::TimedMemory(const sim::Clock &clock, CoherentMemory &func,
                          sim::StatGroup &stats)
-    : sim::Ticked("timedMemory"), clock_(clock), func_(func),
-      bus_(&stats, "port.membus"), dram_(&stats, "port.dram"),
+    : clock_(clock), func_(func), bus_(&stats, "port.membus"),
+      dram_(&stats, "port.dram"),
       accesses_(&stats.scalar("mem.timed.accesses")),
       mshrStallCycles_(&stats.scalar("mem.timed.mshrStallCycles"))
 {
     fronts_.resize(func_.numCores());
-    bindFastDispatch<TimedMemory>();
-}
-
-void
-TimedMemory::bindHart(CoreId core, sim::HartContext *ctx, sim::Ticked *hart)
-{
-    fronts_.at(core).ctx = ctx;
-    fronts_.at(core).hart = hart;
-}
-
-void
-TimedMemory::issue(CoreId core, MemOp op, Addr base, unsigned lines)
-{
-    Front &f = fronts_.at(core);
-    if (f.remaining != 0)
-        sim::panic("TimedMemory: overlapping bursts on one core");
-    if (!f.ctx || !f.hart)
-        sim::panic("TimedMemory: issue on an unbound core");
-    if (lines == 0)
-        sim::panic("TimedMemory: zero-line burst (hart would never wake)");
-    f.remaining = lines;
-    f.burstDone = 0;
-    const unsigned lineBytes = func_.params().lineBytes;
-    for (unsigned i = 0; i < lines; ++i)
-        f.queue.push_back(
-            Request{op, base + std::uint64_t{i} * lineBytes});
-    // The issuing core ticks before this component, so the burst is
-    // scheduled — and the hart's wake cycle set — within this very cycle.
-    requestWake(clock_.now());
 }
 
 Cycle
-TimedMemory::schedule(CoreId core, const Request &req)
+TimedMemory::issue(CoreId core, MemOp op, Addr base, unsigned lines)
 {
-    Front &f = fronts_[core];
-    const Cycle now = clock_.now();
-    ++*accesses_;
-
-    // One access enters the L1 pipeline per cycle.
-    Cycle slot = std::max(now, f.slotFreeAt);
-
-    const bool hit = func_.probeHit(core, req.addr, req.op);
-    if (!hit) {
-        // Need an MSHR: retire completions the slot cycle has already
-        // passed, then push the slot to the oldest outstanding
-        // completion if all entries are still busy (backpressure).
-        auto &fl = f.inflight;
-        std::sort(fl.begin(), fl.end());
-        fl.erase(fl.begin(),
-                 std::lower_bound(fl.begin(), fl.end(), slot + 1));
-        const unsigned mshrs = std::max(1u, func_.params().mshrs);
-        if (fl.size() >= mshrs) {
-            const Cycle freeAt = fl[fl.size() - mshrs];
-            *mshrStallCycles_ += static_cast<double>(freeAt - slot);
-            slot = freeAt;
-            fl.erase(fl.begin(),
-                     std::lower_bound(fl.begin(), fl.end(), slot + 1));
-        }
-    }
-    f.slotFreeAt = slot + 1;
-
-    // Functional MESI transition + zero-contention latency.
-    const CoherentMemory::AccessDetail d =
-        func_.access(core, req.addr, req.op);
-
-    Cycle done;
-    if (d.hit) {
-        done = slot + d.latency;
-    } else {
-        // Every non-hit is one bus transaction; refills and dirty
-        // transfers additionally occupy main memory.
-        Cycle finish = bus_.grant(slot, func_.params().busOccupancy());
-        if (d.refill || d.dirtyTransfer) {
-            const Cycle occ =
-                func_.params().memOccupancy * (d.dirtyTransfer ? 2 : 1);
-            finish = dram_.grant(finish, occ);
-        }
-        done = finish + d.latency;
-        f.inflight.push_back(done);
-    }
+    Front &f = fronts_.at(core);
+    const unsigned lineBytes = func_.params().lineBytes;
+    Cycle done = clock_.now();
+    for (unsigned i = 0; i < lines; ++i)
+        done = std::max(
+            done, schedule(f, core, op, base + std::uint64_t{i} * lineBytes));
     return done;
 }
 
-void
-TimedMemory::drain(CoreId core)
+Cycle
+TimedMemory::schedule(Front &f, CoreId core, MemOp op, Addr addr)
 {
-    Front &f = fronts_[core];
-    while (!f.queue.empty()) {
-        const Cycle done = schedule(core, f.queue.front());
-        f.queue.pop_front();
-        f.burstDone = std::max(f.burstDone, done);
-        if (--f.remaining == 0) {
-            // Whole burst scheduled: park the response with the hart.
-            f.ctx->scheduleWakeAt(f.burstDone);
-            f.hart->requestWake(f.burstDone);
-        }
-    }
-}
+    ++*accesses_;
 
-void
-TimedMemory::tick()
-{
-    for (CoreId c = 0; c < fronts_.size(); ++c)
-        drain(c);
+    // Functional MESI transition + zero-contention latency. It reads
+    // none of the front-end state below.
+    const CoherentMemory::AccessDetail d = func_.access(core, addr, op);
+
+    // One access enters the L1 pipeline per cycle.
+    Cycle slot = std::max(clock_.now(), f.slotFreeAt);
+    if (d.hit) {
+        f.slotFreeAt = slot + 1;
+        return slot + d.latency;
+    }
+
+    // Need an MSHR: retire completions the slot cycle has already
+    // passed, then push the slot to the oldest outstanding completion if
+    // all entries are still busy (backpressure).
+    auto &fl = f.inflight;
+    std::sort(fl.begin(), fl.end());
+    fl.erase(fl.begin(), std::lower_bound(fl.begin(), fl.end(), slot + 1));
+    const unsigned mshrs = std::max(1u, func_.params().mshrs);
+    if (fl.size() >= mshrs) {
+        const Cycle freeAt = fl[fl.size() - mshrs];
+        *mshrStallCycles_ += static_cast<double>(freeAt - slot);
+        slot = freeAt;
+        fl.erase(fl.begin(),
+                 std::lower_bound(fl.begin(), fl.end(), slot + 1));
+    }
+    f.slotFreeAt = slot + 1;
+
+    // Every non-hit is one bus transaction; refills and dirty transfers
+    // additionally occupy main memory.
+    Cycle finish = bus_.grant(slot, func_.params().busOccupancy());
+    if (d.refill || d.dirtyTransfer) {
+        const Cycle occ =
+            func_.params().memOccupancy * (d.dirtyTransfer ? 2 : 1);
+        finish = dram_.grant(finish, occ);
+    }
+    const Cycle done = finish + d.latency;
+    fl.push_back(done);
+    return done;
 }
 
 } // namespace picosim::mem

@@ -2,11 +2,10 @@
  * @file
  * Timed, contention-aware memory subsystem (MemMode::Timed).
  *
- * TimedMemory is the Ticked front half of the memory system: harts issue
- * line-granular requests into per-core L1 front-ends and suspend
- * (sim::BlockHart) until the response arrives; the subsystem schedules
- * each request against three shared/limited resources and wakes the hart
- * at its completion cycle:
+ * TimedMemory is a scheduler the issuing hart calls directly: a hart
+ * hands it a burst of line-granular requests, the subsystem schedules
+ * every line at once against three shared/limited resources, and the
+ * hart suspends until the returned completion cycle:
  *
  *  - per-core issue slot: one access enters a core's L1 pipeline per
  *    cycle, so bursts (streamTouch) serialize at the front-end;
@@ -23,83 +22,55 @@
  * what MemMode::Inline charges — contention, queuing, and burst
  * parallelism are the only deltas between the modes.
  *
- * Determinism contract: requests are processed in issue order at the
- * issue cycle (harts tick before this component, which is woken for the
- * same cycle), and the whole schedule is cycle arithmetic over resource
- * free-at horizons. Nothing depends on how often tick() runs, so
+ * Determinism contract: a burst is scheduled inside the issuing core's
+ * tick, so same-cycle bursts are served in the order the cores tick
+ * (core index order), and the whole schedule is cycle arithmetic over
+ * resource free-at horizons. The subsystem is not a kernel component:
+ * nothing depends on how often anything is evaluated, so
  * EvalMode::EventDriven and EvalMode::TickWorld stay bit-identical.
  */
 
 #ifndef PICOSIM_MEM_MEM_SUBSYSTEM_HH
 #define PICOSIM_MEM_MEM_SUBSYSTEM_HH
 
-#include <deque>
 #include <vector>
 
 #include "mem/coherent_memory.hh"
 #include "sim/clock.hh"
-#include "sim/cotask.hh"
 #include "sim/port.hh"
 #include "sim/stats.hh"
-#include "sim/ticked.hh"
 #include "sim/types.hh"
 
 namespace picosim::mem
 {
 
-class TimedMemory final : public sim::Ticked
+class TimedMemory
 {
   public:
     TimedMemory(const sim::Clock &clock, CoherentMemory &func,
                 sim::StatGroup &stats);
 
     /**
-     * Bind the hart issuing on @p core: the context parked on BlockHart
-     * and the core component to wake when its response completes.
+     * Schedule a burst of @p lines consecutive line accesses from
+     * @p core at the current cycle. Called from that core's hart, which
+     * then suspends until the returned cycle: the completion of the
+     * burst's last response (the current cycle for an empty burst).
      */
-    void bindHart(CoreId core, sim::HartContext *ctx, sim::Ticked *hart);
-
-    /**
-     * Issue a burst of @p lines consecutive line accesses from @p core.
-     * Must be called from that core's hart coroutine, which must
-     * immediately `co_await sim::BlockHart{}`; the hart is woken at the
-     * completion cycle of the last response. One outstanding burst per
-     * core (the hart is blocked while it is in flight).
-     */
-    void issue(CoreId core, MemOp op, Addr base, unsigned lines);
-
-    // -- Ticked --
-    void tick() override;
-    bool active() const override { return false; }
-    Cycle wakeAt() const override { return kCycleNever; }
+    Cycle issue(CoreId core, MemOp op, Addr base, unsigned lines);
 
     const MemParams &params() const { return func_.params(); }
 
   private:
-    struct Request
-    {
-        MemOp op;
-        Addr addr;
-    };
-
     /** Per-core L1 front-end. */
     struct Front
     {
-        std::deque<Request> queue;   ///< issued, not yet scheduled
         std::vector<Cycle> inflight; ///< completions of outstanding misses
         Cycle slotFreeAt = 0;        ///< next free issue slot
-        unsigned remaining = 0;      ///< burst requests not yet scheduled
-        Cycle burstDone = 0;         ///< latest completion in the burst
-        sim::HartContext *ctx = nullptr;
-        sim::Ticked *hart = nullptr;
     };
 
-    /** Schedule every queued request of @p core (all are schedulable:
-     *  MSHR pressure delays the issue slot instead of stalling). */
-    void drain(CoreId core);
-
-    /** Schedule one request; @return its completion cycle. */
-    Cycle schedule(CoreId core, const Request &req);
+    /** Schedule one access of @p core through its front-end @p f;
+     *  @return its completion cycle. */
+    Cycle schedule(Front &f, CoreId core, MemOp op, Addr addr);
 
     const sim::Clock &clock_;
     CoherentMemory &func_;

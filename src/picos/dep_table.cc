@@ -91,13 +91,4 @@ DepTable::alloc(Addr addr,
     return victim;
 }
 
-std::size_t
-DepTable::validEntries() const
-{
-    std::size_t n = 0;
-    for (const auto &e : entries_)
-        n += e.valid ? 1 : 0;
-    return n;
-}
-
 } // namespace picosim::picos

@@ -78,9 +78,6 @@ class DepTable
 
     DepEntry *alloc(Addr addr, const EvictPred &evictable);
 
-    /** Number of valid entries (for stats/tests). */
-    std::size_t validEntries() const;
-
   private:
     unsigned setOf(Addr addr) const;
     void checkOwnership(Addr addr) const;

@@ -104,7 +104,6 @@ class Picos final : public sim::Ticked, public SchedulerIf
     {
         return table_.state(picos_id);
     }
-    std::size_t depTableEntries() const { return depTable_.validEntries(); }
     std::uint64_t tasksProcessed() const { return table_.processed(); }
     std::uint64_t tasksRetired() const { return table_.retired(); }
 

@@ -199,10 +199,8 @@ ShardedPicos::applyDescriptor(Shard &sh)
                 .table;
         },
         [this](std::uint32_t producer, std::uint32_t consumer) {
-            if (table_.sliceOf(producer) != table_.sliceOf(consumer)) {
-                ++crossShardEdges_;
+            if (table_.sliceOf(producer) != table_.sliceOf(consumer))
                 ++*statCrossShardEdges_;
-            }
         });
     if (applied == TaskTable::Applied::Stalled) {
         sh.depTableStalls.fail(live);
@@ -429,7 +427,6 @@ ShardedPicos::tickReadyIssue()
                 cl.readyIssuingId = static_cast<int>(id);
                 cl.readyBusyUntil = now + params_.readyIssueCycles +
                                     topo_.stealPenaltyCycles;
-                ++steals_;
                 ++*statSteals_;
             }
         }

@@ -102,8 +102,11 @@ class ShardedPicos final : public sim::Ticked
     bool quiescent() const;
     std::uint64_t tasksProcessed() const { return table_.processed(); }
     std::uint64_t tasksRetired() const { return table_.retired(); }
-    std::uint64_t crossShardEdges() const { return crossShardEdges_; }
-    std::uint64_t workSteals() const { return steals_; }
+    std::uint64_t
+    crossShardEdges() const
+    {
+        return static_cast<std::uint64_t>(statCrossShardEdges_->value());
+    }
     TaskState taskState(std::uint32_t picos_id) const
     {
         return table_.state(picos_id);
@@ -317,9 +320,6 @@ class ShardedPicos final : public sim::Ticked
 
     unsigned rrRetire_ = 0; ///< retire arbiter round-robin over clusters
     std::vector<char> retireServed_; ///< per-shard scratch for tickRetire
-
-    std::uint64_t crossShardEdges_ = 0;
-    std::uint64_t steals_ = 0;
 };
 
 } // namespace picosim::picos

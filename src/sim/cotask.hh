@@ -338,26 +338,6 @@ class HartContext
         pred_ = pred;
     }
 
-    /**
-     * Park the hart with no wake condition of its own: it resumes only
-     * when an external component (a timed port delivering a response)
-     * calls scheduleWakeAt(). Used by BlockHart.
-     */
-    void
-    suspendBlocked(std::coroutine_handle<> h)
-    {
-        resumeNext_ = h;
-        wakeAt_ = kCycleNever;
-        pred_ = nullptr;
-    }
-
-    /**
-     * Wake a blocked hart at @p cycle. Called by the component completing
-     * the hart's outstanding request (its response port). The caller must
-     * also requestWake() the owning core so the kernel evaluates it.
-     */
-    void scheduleWakeAt(Cycle cycle) { wakeAt_ = cycle; }
-
   private:
     void
     resume()
@@ -398,29 +378,6 @@ struct Delay
         if (!ctx)
             panic("Delay awaited outside a HartContext");
         ctx->suspendFor(cycles, h);
-    }
-
-    void await_resume() const noexcept {}
-};
-
-/**
- * Awaitable: park the hart until an external component wakes it via
- * HartContext::scheduleWakeAt(). The awaiting code must have registered a
- * pending request (e.g. TimedMemory::issue) with a component that is
- * guaranteed to deliver the wake; a BlockHart with no outstanding request
- * suspends the hart forever.
- */
-struct BlockHart
-{
-    bool await_ready() const noexcept { return false; }
-
-    void
-    await_suspend(std::coroutine_handle<> h) const
-    {
-        HartContext *ctx = HartContext::current();
-        if (!ctx)
-            panic("BlockHart awaited outside a HartContext");
-        ctx->suspendBlocked(h);
     }
 
     void await_resume() const noexcept {}

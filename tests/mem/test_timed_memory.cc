@@ -2,9 +2,14 @@
  * @file
  * Timed memory subsystem tests: the uncontended-equals-inline contract,
  * MESI dirty transfers through memory on the timed path, MSHR saturation
- * backpressure, streamTouch latency monotonicity in footprint, and
- * same-cycle multi-core contention determinism across both kernels.
+ * backpressure, streamTouch latency monotonicity in footprint,
+ * same-cycle multi-core contention determinism across both kernels, and
+ * the scheduling contract: timed memory is no kernel component, and
+ * same-cycle bursts are served in core order.
  */
+
+#include <algorithm>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -218,4 +223,62 @@ TEST(TimedMemory, SameCycleContentionIsDeterministicAcrossKernels)
     // Contention must actually cost something vs a solo run.
     const Cycle solo = contendedRun(sim::EvalMode::EventDriven, 1);
     EXPECT_GT(a, solo);
+}
+
+TEST(TimedMemory, IsNotAKernelComponent)
+{
+    // A hart schedules its burst inside its own core's tick, so timed
+    // memory adds no component for the kernel to evaluate.
+    cpu::SystemParams inl;
+    inl.numCores = 4;
+    cpu::System inlineSys(inl);
+    cpu::System timedSys(timedParams(4));
+    ASSERT_NE(timedSys.timedMemory(), nullptr);
+    EXPECT_EQ(timedSys.simulator().numComponents(),
+              inlineSys.simulator().numComponents());
+}
+
+namespace
+{
+
+sim::CoTask<void>
+coldRead(cpu::HartApi &api, Addr addr, Cycle *issued, Cycle *resumed,
+         const sim::Clock *clock)
+{
+    *issued = clock->now();
+    co_await api.read(addr);
+    *resumed = clock->now();
+}
+
+} // namespace
+
+TEST(TimedMemory, SameCycleBurstsAreServedInCoreOrder)
+{
+    // Four cores issue a cold read in the same cycle. Each miss holds the
+    // bus, then main memory, so the reads are served one after another
+    // in the order the cores tick: core c resumes c bottleneck
+    // occupancies after the uncontended latency.
+    constexpr unsigned kCores = 4;
+    for (const sim::EvalMode mode :
+         {sim::EvalMode::EventDriven, sim::EvalMode::TickWorld}) {
+        cpu::SystemParams sp = timedParams(kCores);
+        sp.evalMode = mode;
+        cpu::System sys(sp);
+        std::vector<Cycle> issued(kCores, 0), resumed(kCores, 0);
+        for (CoreId c = 0; c < kCores; ++c)
+            sys.installThread(c, coldRead(sys.hartApi(c),
+                                          0x100000 + c * 0x10000,
+                                          &issued[c], &resumed[c],
+                                          &sys.clock()));
+        ASSERT_TRUE(sys.run(100'000));
+
+        const mem::MemParams &mp = sys.params().mem;
+        const Cycle step = std::max(mp.busOccupancy(), mp.memOccupancy);
+        for (CoreId c = 0; c < kCores; ++c) {
+            EXPECT_EQ(issued[c], issued[0]) << "core " << c;
+            EXPECT_EQ(resumed[c], issued[0] + mp.hitLatency +
+                                      mp.missLatency + c * step)
+                << "core " << c;
+        }
+    }
 }

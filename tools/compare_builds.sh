@@ -54,6 +54,12 @@ configs+=(
     "--workload=sparselu --wl.nb=40 --wl.bs=6 --wl.seed=8 --cores=32 --sched-shards=4 --clusters=4 --mem=timed"
     "--workload=cholesky-nested --cores=16 --sched-shards=4 --clusters=4"
     "--workload=task-chain --wl.tasks=64 --mem=timed --runtime=nanos-sw"
+    # Contended timed memory: one MSHR and a narrow bus on the sharded
+    # fabric, one MSHR and slow main memory under Nanos-AXI, and a
+    # nested program under TickWorld.
+    "--workload=sparselu --wl.nb=12 --wl.bs=24 --cores=16 --sched-shards=4 --clusters=4 --mem=timed --mshrs=1 --bus-bytes=8 --runtime=phentos"
+    "--workload=blackscholes --wl.options=4096 --wl.block=8 --mem=timed --mshrs=1 --mem-occupancy=40 --runtime=nanos-axi"
+    "--workload=task-tree --mem=timed --runtime=nanos-rv --mode=tickworld"
     "--workload=task-tree --runtime=phentos --trace=trace.json"
     "--workload=task-tree --runtime=nanos-rv --trace=trace.json"
     # Scheduler stalls: dependence-table and TRS stalls in Figure 9
