@@ -10,7 +10,7 @@
 #include <benchmark/benchmark.h>
 
 #include "bench/bench_util.hh"
-#include "picos/picos.hh"
+#include "picos/sharded_picos.hh"
 #include "rocc/task_packets.hh"
 #include "runtime/harness.hh"
 #include "sim/clock.hh"
@@ -22,7 +22,8 @@ using namespace picosim;
 namespace
 {
 
-/** Push-process-retire n independent tasks straight into bare Picos. */
+/** Push-process-retire n independent tasks straight into bare Picos
+ *  (the scheduler at 1 shard x 1 cluster, through its one port). */
 void
 BM_PicosPipeline(benchmark::State &state)
 {
@@ -30,7 +31,9 @@ BM_PicosPipeline(benchmark::State &state)
     for (auto _ : state) {
         sim::Clock clock;
         sim::StatGroup stats;
-        picos::Picos picos(clock, picos::PicosParams{}, stats);
+        picos::ShardedPicos sched(clock, picos::PicosParams{},
+                                 picos::TopologyParams{}, stats);
+        picos::ClusterPort &picos = sched.clusterPort(0);
 
         rocc::TaskDescriptor desc;
         for (unsigned d = 0; d < ndeps; ++d)
@@ -60,7 +63,7 @@ BM_PicosPipeline(benchmark::State &state)
                     ++retired;
                 }
             }
-            picos.tick();
+            sched.tick();
             clock.advanceTo(clock.now() + 1);
         }
         state.counters["cycles_per_task"] = benchmark::Counter(

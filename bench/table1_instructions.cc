@@ -71,8 +71,8 @@ main()
                 static_cast<unsigned long long>(*sw));
     std::printf("FetchPicosId -> %u\n", *pid);
     del.retireTask(*pid);
-    sim.run([&] { return sys.picos().quiescent(); }, 10000);
+    sim.run([&] { return sys.scheduler().quiescent(); }, 10000);
     std::printf("RetireTask -> retired, Picos quiescent: %s\n",
-                sys.picos().quiescent() ? "yes" : "no");
+                sys.scheduler().quiescent() ? "yes" : "no");
     return 0;
 }

@@ -12,7 +12,7 @@ System::System(const SystemParams &params)
     : params_(params), bandwidth_(params.bandwidthAlpha)
 {
     const picos::TopologyParams &topo = params.topology;
-    if (!topo.singlePicos() && topo.clusters > params.numCores)
+    if (topo.clusters > params.numCores)
         sim::fatal("topology needs at least one core per cluster");
 
     sim_.setEvalMode(params.evalMode);
@@ -22,35 +22,26 @@ System::System(const SystemParams &params)
         timedMem_ = std::make_unique<mem::TimedMemory>(
             sim_.clock(), *memory_, sim_.stats());
 
-    // Scheduler: the paper's single centralized Picos by default; the
-    // sharded scaling layer when the topology asks for it. Each cluster
-    // gets its own manager fronting its SchedulerIf endpoint.
-    if (topo.singlePicos()) {
-        picos_ = std::make_unique<picos::Picos>(sim_.clock(), params.picos,
-                                                sim_.stats());
-        managers_.push_back(std::make_unique<manager::PicosManager>(
-            sim_.clock(), *picos_, params.numCores, params.manager,
-            sim_.stats()));
-    } else {
-        sharded_ = std::make_unique<picos::ShardedPicos>(
-            sim_.clock(), params.picos, topo, sim_.stats());
-        if (params.fault.kind == sim::FaultKind::KillShard ||
-            params.fault.kind == sim::FaultKind::StallLink)
-            sharded_->setFault(params.fault);
-        // Per-cluster managers keep their central ready queue at one
-        // tuple: work buffered there is pinned to the cluster, and the
-        // whole point of the sharded fabric is that surplus ready tasks
-        // stay stealable by dry neighbours. Per-core queues still hide
-        // the ready-fetch latency for demand-driven flow.
-        manager::ManagerParams cluster_mp = params.manager;
+    // Scheduler: one port and one manager per cluster.
+    sched_ = std::make_unique<picos::ShardedPicos>(sim_.clock(), params.picos,
+                                                   topo, sim_.stats());
+    if (params.fault.kind == sim::FaultKind::KillShard ||
+        params.fault.kind == sim::FaultKind::StallLink)
+        sched_->setFault(params.fault);
+    // Per-cluster managers keep their central ready queue at one tuple:
+    // work buffered there is pinned to the cluster, and surplus ready
+    // tasks must stay stealable by dry neighbours. Per-core queues still
+    // hide the ready-fetch latency for demand-driven flow. The paper's
+    // single manager has no neighbour and keeps its configured depth.
+    manager::ManagerParams cluster_mp = params.manager;
+    if (!topo.singlePicos())
         cluster_mp.roccReadyQueueDepth = 1;
-        for (unsigned c = 0; c < topo.clusters; ++c) {
-            const unsigned begin = clusterBegin(c);
-            const unsigned end = clusterBegin(c + 1);
-            managers_.push_back(std::make_unique<manager::PicosManager>(
-                sim_.clock(), sharded_->clusterPort(c), end - begin,
-                cluster_mp, sim_.stats(), "manager.c" + std::to_string(c)));
-        }
+    for (unsigned c = 0; c < topo.clusters; ++c) {
+        const unsigned begin = clusterBegin(c);
+        const unsigned end = clusterBegin(c + 1);
+        managers_.push_back(std::make_unique<manager::PicosManager>(
+            sim_.clock(), sched_->clusterPort(c), end - begin, cluster_mp,
+            sim_.stats(), topo.managerStatPrefix(c)));
     }
 
     cores_.reserve(params.numCores);
@@ -77,18 +68,7 @@ System::System(const SystemParams &params)
         sim_.addTicked(core.get());
     for (auto &mgr : managers_)
         sim_.addTicked(mgr.get());
-    if (picos_)
-        sim_.addTicked(picos_.get());
-    if (sharded_)
-        sim_.addTicked(sharded_.get());
-}
-
-picos::Picos &
-System::picos()
-{
-    if (!picos_)
-        sim::fatal("System::picos() on a sharded-scheduler topology");
-    return *picos_;
+    sim_.addTicked(sched_.get());
 }
 
 unsigned

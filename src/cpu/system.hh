@@ -4,11 +4,10 @@
  * Picos Manager(s), the dependence-management scheduler, the coherent
  * memory model and the kernel (paper Figure 2).
  *
- * With the default topology (1 shard, 1 cluster) the paper's single
- * centralized Picos is constructed, bit-identical to the seed model.
- * Larger topologies group cores into clusters — one PicosManager each —
- * in front of a ShardedPicos whose dependence table is address-
- * interleaved over N shards (the many-core scaling layer).
+ * Cores are grouped into clusters, one PicosManager each, in front of
+ * one ShardedPicos whose dependence table is address-interleaved over N
+ * shards. The default topology (1 shard, 1 cluster) is the paper's
+ * single centralized Picos, bit-identical to the seed model.
  */
 
 #ifndef PICOSIM_CPU_SYSTEM_HH
@@ -24,7 +23,6 @@
 #include "manager/picos_manager.hh"
 #include "mem/coherent_memory.hh"
 #include "mem/mem_subsystem.hh"
-#include "picos/picos.hh"
 #include "picos/sharded_picos.hh"
 #include "picos/topology.hh"
 #include "sim/fault.hh"
@@ -46,8 +44,8 @@ struct SystemParams
     sim::EvalMode evalMode = sim::EvalMode::EventDriven;
 
     /** Fault to inject into the model (KillShard/StallLink; DropJob is
-     *  harness-level and ignored here). Requires the sharded topology —
-     *  the spec layer rejects shard/link faults without one. */
+     *  harness-level and ignored here). The spec layer rejects
+     *  shard/link faults on the default 1x1 topology. */
     sim::FaultPlan fault{};
 };
 
@@ -70,12 +68,8 @@ class System
     /** Timed memory subsystem; nullptr when mem.mode == MemMode::Inline. */
     mem::TimedMemory *timedMemory() { return timedMem_.get(); }
 
-    /** The single centralized Picos; only valid in the default
-     *  (1 shard, 1 cluster) topology — panics otherwise. */
-    picos::Picos &picos();
-
-    /** The sharded scheduler; nullptr in the single-Picos topology. */
-    picos::ShardedPicos *sharded() { return sharded_.get(); }
+    /** The Picos scheduler (every topology). */
+    picos::ShardedPicos &scheduler() { return *sched_; }
 
     unsigned numClusters() const
     {
@@ -120,8 +114,7 @@ class System
     BandwidthModel bandwidth_;
     std::unique_ptr<mem::CoherentMemory> memory_;
     std::unique_ptr<mem::TimedMemory> timedMem_;
-    std::unique_ptr<picos::Picos> picos_;
-    std::unique_ptr<picos::ShardedPicos> sharded_;
+    std::unique_ptr<picos::ShardedPicos> sched_;
     std::vector<std::unique_ptr<manager::PicosManager>> managers_;
     std::vector<std::unique_ptr<Core>> cores_;
     std::vector<std::unique_ptr<delegate::PicosDelegate>> delegates_;

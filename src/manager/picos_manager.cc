@@ -8,7 +8,7 @@ namespace picosim::manager
 {
 
 PicosManager::PicosManager(const sim::Clock &clock,
-                           picos::SchedulerIf &sched, unsigned num_cores,
+                           picos::ClusterPort &sched, unsigned num_cores,
                            const ManagerParams &params,
                            sim::StatGroup &stats, const std::string &prefix)
     : sim::Ticked(prefix == "manager" ? "picosManager"

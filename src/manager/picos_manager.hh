@@ -27,7 +27,7 @@
 #include <vector>
 
 #include "manager/manager_params.hh"
-#include "picos/scheduler_if.hh"
+#include "picos/sharded_picos.hh"
 #include "rocc/task_packets.hh"
 #include "sim/clock.hh"
 #include "sim/port.hh"
@@ -41,12 +41,12 @@ class PicosManager final : public sim::Ticked
 {
   public:
     /**
-     * @param sched The scheduler this manager fronts: the single Picos,
-     *        or one cluster port of the sharded scaling layer.
+     * @param sched The scheduler port this manager fronts: its cluster's
+     *        port of the Picos scheduler.
      * @param prefix Statistic-name prefix; per-cluster managers pass
      *        "manager.c<k>" so their port stats stay distinguishable.
      */
-    PicosManager(const sim::Clock &clock, picos::SchedulerIf &sched,
+    PicosManager(const sim::Clock &clock, picos::ClusterPort &sched,
                  unsigned num_cores, const ManagerParams &params,
                  sim::StatGroup &stats, const std::string &prefix = "manager");
 
@@ -142,7 +142,7 @@ class PicosManager final : public sim::Ticked
     void tickRetireArbiter();
 
     const sim::Clock &clock_;
-    picos::SchedulerIf &sched_;
+    picos::ClusterPort &sched_;
     ManagerParams params_;
     std::string prefix_; ///< statistic-name prefix of this instance
 

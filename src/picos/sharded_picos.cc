@@ -18,38 +18,53 @@ namespace
 constexpr unsigned kNotifyClusterShift = 20;
 constexpr std::uint32_t kNotifyIdMask = (1u << kNotifyClusterShift) - 1;
 
+/** Where fabric ports and gates count: nowhere at 1x1, since the paper's
+ *  Picos has no fabric and its protocol-crossing FIFOs carry no stats. */
+sim::StatGroup *
+fabricStats(const TopologyParams &topo, sim::StatGroup &stats)
+{
+    return topo.singlePicos() ? nullptr : &stats;
+}
+
 } // namespace
 
 ShardedPicos::Shard::Shard(const sim::Clock &clock, const PicosParams &p,
                            const TopologyParams &topo,
-                           sim::StatGroup &stats, unsigned id,
-                           sim::Ticked *owner, std::size_t notify_cap)
+                           sim::StatGroup &stats, const std::string &prefix,
+                           unsigned id, sim::Ticked *owner,
+                           std::size_t notify_cap)
     : table(p.dctSets, p.dctWays, id, topo.schedShards),
-      gate(&stats, "sharded.s" + std::to_string(id) + ".gate"),
-      depTableStalls(stats.scalar("sharded.depTableStalls")),
-      trsStalls(stats.scalar("sharded.trsStalls")),
-      notifyQueue(clock, {notify_cap, topo.xshardNotifyCycles, 0}, &stats,
-                  "sharded.s" + std::to_string(id) + ".notify", owner)
+      gate(fabricStats(topo, stats),
+           prefix + ".s" + std::to_string(id) + ".gate"),
+      depTableStalls(stats.scalar(prefix + ".depTableStalls")),
+      trsStalls(stats.scalar(prefix + ".trsStalls")),
+      notifyQueue(clock, {notify_cap, topo.xshardNotifyCycles, 0},
+                  fabricStats(topo, stats),
+                  prefix + ".s" + std::to_string(id) + ".notify", owner)
 {
 }
 
 ShardedPicos::Cluster::Cluster(const sim::Clock &clock, const PicosParams &p,
                                const TopologyParams &topo,
-                               sim::StatGroup &stats, unsigned id,
+                               sim::StatGroup &stats,
+                               const std::string &prefix, unsigned id,
                                sim::Ticked *owner)
-    : subQueue(clock, {p.subQueueDepth, 1, 0}, &stats,
-               "sharded.c" + std::to_string(id) + ".subQueue", owner),
+    : subQueue(clock, {p.subQueueDepth, 1, 0}, fabricStats(topo, stats),
+               prefix + ".c" + std::to_string(id) + ".subQueue", owner),
+      // At 1x1 the manager sits next to Picos: no link latency.
       retireQueue(clock,
-                  {p.retireQueueDepth, 1 + topo.clusterLinkCycles, 0},
-                  &stats, "sharded.c" + std::to_string(id) + ".retireQueue",
-                  owner),
-      // One ready tuple (3 packets) buffered, deliberately shallower
-      // than the single Picos's ready FIFO: a tuple sitting here is
-      // pinned to this cluster, so deeper buffering would hoard work a
-      // dry neighbour could have stolen from readyPending.
-      readyQueue(clock, {3, 1, 0}, &stats,
-                 "sharded.c" + std::to_string(id) + ".readyQueue"),
-      gatewayBackpressure(stats.scalar("sharded.gatewayBackpressure"))
+                  {p.retireQueueDepth,
+                   1 + (topo.singlePicos() ? 0 : topo.clusterLinkCycles), 0},
+                  fabricStats(topo, stats),
+                  prefix + ".c" + std::to_string(id) + ".retireQueue", owner),
+      // One ready tuple (3 packets) buffered when clustered: a tuple
+      // sitting here is pinned to this cluster, so deeper buffering
+      // would hoard work a dry neighbour could have stolen from
+      // readyPending. With no neighbour, Picos's full ready FIFO.
+      readyQueue(clock, {topo.singlePicos() ? p.readyQueueDepth : 3, 1, 0},
+                 fabricStats(topo, stats),
+                 prefix + ".c" + std::to_string(id) + ".readyQueue"),
+      gatewayBackpressure(stats.scalar(prefix + ".gatewayBackpressure"))
 {
     collectBuffer.reserve(rocc::kDescriptorPackets);
 }
@@ -59,15 +74,16 @@ ShardedPicos::ShardedPicos(const sim::Clock &clock,
                            const TopologyParams &topo,
                            sim::StatGroup &stats)
     : sim::Ticked("shardedPicos"), clock_(clock), params_(params),
-      topo_(topo), stats_(stats),
-      statSubPackets_(&stats.scalar("sharded.subPackets")),
-      statRetirePackets_(&stats.scalar("sharded.retirePackets")),
-      statCrossShardEdges_(&stats.scalar("sharded.crossShardEdges")),
-      statTasksProcessed_(&stats.scalar("sharded.tasksProcessed")),
-      statCrossShardNotifies_(&stats.scalar("sharded.crossShardNotifies")),
-      statBadRetires_(&stats.scalar("sharded.badRetires")),
-      statSteals_(&stats.scalar("sharded.steals")),
-      table_(stats, "sharded", topo.schedShards, params.trsEntries)
+      topo_(topo), single_(topo.singlePicos()),
+      stealing_(topo.workStealing && topo.clusters > 1),
+      prefix_(topo.schedulerStatPrefix()),
+      statSubPackets_(&stats.scalar(prefix_ + ".subPackets")),
+      statRetirePackets_(&stats.scalar(prefix_ + ".retirePackets")),
+      statCrossShardEdges_(&stats.scalar(prefix_ + ".crossShardEdges")),
+      statCrossShardNotifies_(&stats.scalar(prefix_ + ".crossShardNotifies")),
+      statBadRetires_(&stats.scalar(prefix_ + ".badRetires")),
+      statSteals_(&stats.scalar(prefix_ + ".steals")),
+      table_(stats, prefix_, topo.schedShards, params.trsEntries)
 {
     if (topo_.schedShards == 0 || topo_.clusters == 0)
         sim::fatal("ShardedPicos needs at least one shard and one cluster");
@@ -78,87 +94,22 @@ ShardedPicos::ShardedPicos(const sim::Clock &clock,
         topo_.clusters > (1u << (32 - kNotifyClusterShift)))
         sim::fatal("topology exceeds the cross-shard notification "
                    "encoding (ids or clusters too large)");
-    retireServed_.assign(topo_.schedShards, 0);
     // Worst-case forwarded wakeups in flight: every edge of every
     // in-flight task crossing shards at once.
     const std::size_t notify_cap = table_.size() * rocc::kMaxDeps + 1;
 
     shards_.reserve(topo_.schedShards);
     for (unsigned s = 0; s < topo_.schedShards; ++s)
-        shards_.emplace_back(clock, params_, topo_, stats, s, this,
+        shards_.emplace_back(clock, params_, topo_, stats, prefix_, s, this,
                              notify_cap);
     clusters_.reserve(topo_.clusters);
     ports_.reserve(topo_.clusters);
     for (unsigned c = 0; c < topo_.clusters; ++c) {
-        clusters_.emplace_back(clock, params_, topo_, stats, c, this);
+        clusters_.emplace_back(clock, params_, topo_, stats, prefix_, c,
+                               this);
         ports_.emplace_back(*this, c);
     }
     bindFastDispatch<ShardedPicos>();
-}
-
-SchedulerIf &
-ShardedPicos::clusterPort(unsigned c)
-{
-    return ports_.at(c);
-}
-
-// -- ClusterPort: the manager-facing packet protocol --------------------
-
-bool
-ShardedPicos::ClusterPort::subCanAccept() const
-{
-    return sp_.clusters_[c_].subQueue.canPush();
-}
-
-bool
-ShardedPicos::ClusterPort::subPush(std::uint32_t packet)
-{
-    Cluster &cl = sp_.clusters_[c_];
-    if (!cl.subQueue.push(packet))
-        return false;
-    ++*sp_.statSubPackets_;
-    return true;
-}
-
-bool
-ShardedPicos::ClusterPort::readyValid() const
-{
-    return sp_.clusters_[c_].readyQueue.frontReady();
-}
-
-std::uint32_t
-ShardedPicos::ClusterPort::readyPop()
-{
-    // The pop that frees room for a whole tuple may unblock this
-    // cluster's ready issue or let it steal; nothing polls for it.
-    Cluster &cl = sp_.clusters_[c_];
-    if (cl.readyQueue.capacity() - cl.readyQueue.size() == 2)
-        sp_.requestWake(sp_.clock_.now());
-    return cl.readyQueue.pop();
-}
-
-void
-ShardedPicos::ClusterPort::setReadyListener(sim::Ticked *listener)
-{
-    Cluster &cl = sp_.clusters_[c_];
-    cl.readyQueue.setOwner(listener);
-    cl.listener = listener;
-}
-
-bool
-ShardedPicos::ClusterPort::retireCanAccept() const
-{
-    return sp_.clusters_[c_].retireQueue.canPush();
-}
-
-bool
-ShardedPicos::ClusterPort::retirePush(std::uint32_t picos_id)
-{
-    Cluster &cl = sp_.clusters_[c_];
-    if (!cl.retireQueue.push(picos_id))
-        return false;
-    ++*sp_.statRetirePackets_;
-    return true;
 }
 
 // -- Dependence management ----------------------------------------------
@@ -179,7 +130,8 @@ ShardedPicos::descOccupancy(const rocc::TaskDescriptor &desc,
     Cycle occ = params_.headerCycles;
     for (const rocc::TaskDep &dep : desc.deps) {
         occ += params_.depCycles;
-        if (DepTable::shardOf(dep.addr, topo_.schedShards) != home)
+        if (shards_.size() > 1 &&
+            DepTable::shardOf(dep.addr, topo_.schedShards) != home)
             occ += topo_.xshardDepCycles; // remote table round trip
     }
     return occ;
@@ -195,6 +147,8 @@ ShardedPicos::applyDescriptor(Shard &sh)
     const TaskTable::Applied applied = table_.apply(
         id, sh.gwDesc, sh.gwDepIndex,
         [this](Addr addr) -> DepTable & {
+            if (shards_.size() == 1)
+                return shards_[0].table;
             return shards_[DepTable::shardOf(addr, topo_.schedShards)]
                 .table;
         },
@@ -207,7 +161,6 @@ ShardedPicos::applyDescriptor(Shard &sh)
         return false;
     }
     sh.depTableStalls.clear(live);
-    ++*statTasksProcessed_;
     if (applied == TaskTable::Applied::Ready)
         clusters_[table_.homeCluster(id)].readyPending.push_back(id);
     return true;
@@ -274,12 +227,10 @@ ShardedPicos::tickRetire()
     // In-order service per cluster queue (head-of-line blocks on a busy
     // shard); round-robin across clusters, at most one retirement per
     // shard per cycle.
-    std::fill(retireServed_.begin(), retireServed_.end(), 0);
-    std::vector<char> &served = retireServed_;
+    const auto n = static_cast<unsigned>(clusters_.size());
     int first = -1;
-    for (unsigned i = 0; i < clusters_.size(); ++i) {
-        const unsigned c =
-            (rrRetire_ + i) % static_cast<unsigned>(clusters_.size());
+    for (unsigned i = 0, c = rrRetire_; i < n;
+         ++i, c = c + 1 == n ? 0 : c + 1) {
         Cluster &cl = clusters_[c];
         if (!cl.retireQueue.frontReady())
             continue;
@@ -293,24 +244,26 @@ ShardedPicos::tickRetire()
         if (table_.state(id) != TaskState::Running) {
             pop();
             ++*statBadRetires_;
-            PSIM_WARN(clock_, "sharded",
+            PSIM_WARN(clock_, prefix_,
                       "retire of task " << id << " in invalid state");
             continue;
         }
         const unsigned s = table_.sliceOf(id);
         // A down home shard blocks its retirements head-of-line, just
         // like a busy retire pipeline — in-order service per cluster.
-        if (served[s] || shards_[s].retireBusyUntil > now || shardDown(s))
+        Shard &sh = shards_[s];
+        if (sh.retiredAt == now || sh.retireBusyUntil > now || shardDown(s))
             continue;
         pop();
         finishRetire(id);
-        served[s] = true;
+        sh.retiredAt = now;
         if (first < 0)
             first = static_cast<int>(c);
     }
     if (first >= 0)
-        rrRetire_ = (static_cast<unsigned>(first) + 1) %
-                    static_cast<unsigned>(clusters_.size());
+        rrRetire_ = static_cast<unsigned>(first) + 1 == n
+                        ? 0
+                        : static_cast<unsigned>(first) + 1;
 }
 
 void
@@ -337,11 +290,49 @@ ShardedPicos::tickGateways()
             sh.gwDepIndex = 0;
             sh.gwDesc = std::move(pending.desc);
             sh.inQueue.pop_front();
+        } else if (now < sh.gwApplyAt) {
+            continue; // 1x1: still processing the decoded descriptor
         }
         // Fresh descriptor or stalled retry: apply until a table conflict.
         if (applyDescriptor(sh))
             sh.gwTaskId = -1;
     }
+}
+
+void
+ShardedPicos::tickCollect()
+{
+    // The paper's Picos (1x1): one gateway FSM collects a descriptor only
+    // while none is being processed or stalled, tests for a free TRS
+    // entry before its first packet, and claims the entry at decode.
+    // This runs before tickGateways(), so nothing is collected in the
+    // cycle an apply lands.
+    const Cycle now = clock_.now();
+    Shard &sh = shards_[0];
+    Cluster &cl = clusters_[0];
+    if (sh.gwTaskId >= 0 || !cl.subQueue.frontReady() || clusterLinkDown(0))
+        return;
+    if (cl.collectBuffer.empty()) {
+        if (!table_.hasFree(0)) {
+            // Backpressure by not consuming: the submission queue fills
+            // and software sees failed Submit Packet instructions.
+            sh.trsStalls.fail(now);
+            return;
+        }
+        sh.trsStalls.clear(now);
+    }
+    // A full queue may hold the manager's Final Buffer back.
+    if (cl.subQueue.full() && cl.listener)
+        cl.listener->requestWake(now);
+    cl.collectBuffer.push_back(cl.subQueue.pop());
+    if (cl.collectBuffer.size() < rocc::kDescriptorPackets)
+        return;
+    sh.gwDesc = rocc::decodeDescriptor(cl.collectBuffer);
+    cl.collectBuffer.clear();
+    sh.gwTaskId = static_cast<int>(table_.claim(0, sh.gwDesc.swId, 0));
+    sh.gwDepIndex = 0;
+    // Applied no earlier than the next cycle, like a Process state.
+    sh.gwApplyAt = now + std::max<Cycle>(descOccupancy(sh.gwDesc, 0), 1);
 }
 
 void
@@ -406,7 +397,7 @@ ShardedPicos::tickReadyIssue()
             cl.readyIssuingId = static_cast<int>(cl.readyPending.front());
             cl.readyPending.pop_front();
             cl.readyBusyUntil = now + params_.readyIssueCycles;
-        } else if (topo_.workStealing && TaskTable::tupleFits(cl.readyQueue)) {
+        } else if (stealing_ && TaskTable::tupleFits(cl.readyQueue)) {
             // Local queue ran dry: steal from the longest remote queue
             // (LIFO end), paying the remote-access penalty.
             int victim = -1;
@@ -436,19 +427,86 @@ ShardedPicos::tickReadyIssue()
 void
 ShardedPicos::tick()
 {
-    tickNotify();
+    if (shards_.size() > 1)
+        tickNotify();
     tickRetire();
+    if (single_)
+        tickCollect();
     tickGateways();
-    tickRouters();
+    if (!single_)
+        tickRouters();
     tickReadyIssue();
 }
 
 Cycle
 ShardedPicos::nextSelfDue(Cycle next) const
 {
+    // Any due cycle at or before next means next, so the first such
+    // source returns at once; the cheap, common ones come first.
     const Cycle now = next - 1;
     Cycle due = kCycleNever;
     const auto merge = [&due](Cycle c) { due = std::min(due, c); };
+
+    bool freeCluster = false; // could steal
+    bool pending = false;     // holds a stealable ready task
+    for (unsigned c = 0; c < clusters_.size(); ++c) {
+        const Cluster &cl = clusters_[c];
+        const bool fits = TaskTable::tupleFits(cl.readyQueue);
+        if (cl.readyIssuingId >= 0) {
+            if (cl.readyBusyUntil > now)
+                merge(cl.readyBusyUntil);
+            else if (fits)
+                return next;
+        } else if (!cl.readyPending.empty()) {
+            return next;
+        } else if (stealing_ && fits) {
+            freeCluster = true;
+        }
+        pending = pending || !cl.readyPending.empty();
+        // Surface ready packets that become visible later, so the clock
+        // reaches the cycle the cluster's manager can see them.
+        const Cycle visible = cl.readyQueue.nextReadyCycle();
+        if (visible > now)
+            merge(visible);
+
+        if (!cl.retireQueue.empty()) {
+            const Cycle ready = cl.retireQueue.nextReadyCycle();
+            if (ready > now) {
+                // No retirement before a retire pipeline is free.
+                Cycle free = kCycleNever;
+                for (const Shard &sh : shards_)
+                    free = std::min(free, sh.retireBusyUntil);
+                merge(std::max(ready, free));
+            } else {
+                // In-order service: the head waits for its home shard's
+                // retire pipeline; a bad retire is dropped next cycle.
+                const std::uint32_t id = cl.retireQueue.front();
+                if (table_.state(id) != TaskState::Running)
+                    return next;
+                const unsigned s = table_.sliceOf(id);
+                merge(gateFault(shards_[s].retireBusyUntil, shardDown(s)));
+            }
+        }
+
+        const bool linkDown = clusterLinkDown(c);
+        if (cl.hasDecoded) {
+            // Dispatch is tried once, to open the backpressure span,
+            // then waits for the gateway's pop in this tick.
+            const Shard &sh = shards_[shardOfDesc(cl.decoded, cl)];
+            if (sh.inQueue.size() < topo_.gatewayQueueDepth ||
+                !cl.gatewayBackpressure.open() || linkDown)
+                merge(gateFault(next, linkDown));
+        } else if (!single_ ||
+                   (shards_[0].gwTaskId < 0 &&
+                    !(cl.subQueue.frontReady() && cl.collectBuffer.empty() &&
+                      !table_.hasFree(0) && shards_[0].trsStalls.open()))) {
+            // At 1x1, collection waits for the descriptor in processing,
+            // and a TRS stall is tried once, then waits for a retirement.
+            merge(gateFault(cl.subQueue.nextReadyCycle(), linkDown));
+        }
+    }
+    if (freeCluster && pending)
+        return next;
 
     for (unsigned s = 0; s < shards_.size(); ++s) {
         const Shard &sh = shards_[s];
@@ -459,8 +517,12 @@ ShardedPicos::nextSelfDue(Cycle next) const
         // function of the clock, so the deferral is deterministic.
         const bool down = shardDown(s);
         if (sh.gwTaskId >= 0) {
-            // Dep-table stall: retried by the retirement that frees a way.
-            if (down)
+            // A 1x1 descriptor in processing applies at gwApplyAt; a
+            // dep-table stall is retried by the retirement that frees a
+            // way.
+            if (sh.gwApplyAt > now)
+                merge(gateFault(sh.gwApplyAt, down));
+            else if (down)
                 merge(gateFault(next, true));
         } else if (!sh.inQueue.empty()) {
             // A TRS stall is tried once, to open its span, then waits
@@ -472,61 +534,6 @@ ShardedPicos::nextSelfDue(Cycle next) const
         }
         merge(gateFault(sh.notifyQueue.nextReadyCycle(), down));
     }
-
-    bool freeCluster = false; // could steal
-    bool pending = false;     // holds a stealable ready task
-    for (unsigned c = 0; c < clusters_.size(); ++c) {
-        const Cluster &cl = clusters_[c];
-        const bool linkDown = clusterLinkDown(c);
-        if (cl.hasDecoded) {
-            // Dispatch is tried once, to open the backpressure span,
-            // then waits for the gateway's pop in this tick.
-            const Shard &sh = shards_[shardOfDesc(cl.decoded, cl)];
-            if (sh.inQueue.size() < topo_.gatewayQueueDepth ||
-                !cl.gatewayBackpressure.open() || linkDown)
-                merge(gateFault(next, linkDown));
-        } else {
-            merge(gateFault(cl.subQueue.nextReadyCycle(), linkDown));
-        }
-
-        if (!cl.retireQueue.empty()) {
-            const Cycle ready = cl.retireQueue.nextReadyCycle();
-            if (ready > now) {
-                merge(ready);
-            } else {
-                // In-order service: the head waits for its home shard's
-                // retire pipeline; a bad retire is dropped next cycle.
-                const std::uint32_t id = cl.retireQueue.front();
-                if (table_.state(id) != TaskState::Running) {
-                    merge(next);
-                } else {
-                    const unsigned s = table_.sliceOf(id);
-                    merge(gateFault(shards_[s].retireBusyUntil,
-                                    shardDown(s)));
-                }
-            }
-        }
-
-        const bool fits = TaskTable::tupleFits(cl.readyQueue);
-        if (cl.readyIssuingId >= 0) {
-            if (cl.readyBusyUntil > now)
-                merge(cl.readyBusyUntil);
-            else if (fits)
-                merge(next);
-        } else if (!cl.readyPending.empty()) {
-            merge(next);
-        } else if (topo_.workStealing && fits) {
-            freeCluster = true;
-        }
-        pending = pending || !cl.readyPending.empty();
-        // Surface ready packets that become visible later, so the clock
-        // reaches the cycle the cluster's manager can see them.
-        const Cycle visible = cl.readyQueue.nextReadyCycle();
-        if (visible > now)
-            merge(visible);
-    }
-    if (freeCluster && pending)
-        merge(next);
     return due;
 }
 

@@ -1,8 +1,9 @@
 /**
  * @file
- * Multi-Picos scaling layer: N dependence-management shards behind C
- * per-cluster submission/ready fabrics (the many-core extension of the
- * paper's single centralized accelerator, Section IV-D).
+ * The Picos scheduler (paper Section IV-D) and its many-core extension:
+ * N dependence-management shards behind C per-cluster submission/ready
+ * fabrics. One shard behind one cluster is the paper's single
+ * centralized accelerator.
  *
  * Topology (all links are sim/port.hh primitives):
  *
@@ -26,11 +27,16 @@
  *    fixed order, so schedules are deterministic and bit-identical
  *    between EvalMode::EventDriven and EvalMode::TickWorld.
  *
- * Each cluster-facing SchedulerIf port speaks the exact packet protocol
- * of the single Picos, so PicosManager is reused unchanged per cluster.
- * The reservation entries, the RAW/WAW/WAR walk, the wakeup rule and the
- * ready tuple are the single Picos's picos::TaskTable, one slice per
- * shard; this layer adds the routing, fabrics, faults and placement.
+ * At 1 shard x 1 cluster (TopologyParams::singlePicos()) there is no
+ * fabric and no neighbour: the retire link has latency 1, the ready FIFO
+ * holds PicosParams::readyQueueDepth packets, and the router and the
+ * gateway run Picos's Collect -> Process -> Stalled FSM (tickCollect()).
+ *
+ * Each cluster's ClusterPort speaks Picos's packet protocol, so one
+ * PicosManager fronts each cluster. The reservation entries, the
+ * RAW/WAW/WAR walk, the wakeup rule and the ready tuple are
+ * picos::TaskTable, one slice per shard; this layer adds the routing,
+ * fabrics, faults and placement.
  */
 
 #ifndef PICOSIM_PICOS_SHARDED_PICOS_HH
@@ -39,11 +45,11 @@
 #include <algorithm>
 #include <cstdint>
 #include <deque>
+#include <string>
 #include <vector>
 
 #include "picos/dep_table.hh"
 #include "picos/picos_params.hh"
-#include "picos/scheduler_if.hh"
 #include "picos/task_table.hh"
 #include "picos/topology.hh"
 #include "rocc/task_packets.hh"
@@ -56,14 +62,52 @@
 namespace picosim::picos
 {
 
+class ShardedPicos;
+
+/**
+ * The packet interface one cluster's Picos Manager sees: the submission,
+ * ready and retirement queues of the paper's Picos (Section IV-D).
+ */
+class ClusterPort
+{
+  public:
+    ClusterPort(ShardedPicos &sp, unsigned c) : sp_(&sp), c_(c) {}
+
+    // -- Submission interface (32-bit descriptor packets) --
+    bool subCanAccept() const;
+    bool subPush(std::uint32_t packet);
+
+    // -- Ready interface (3 packets per ready task) --
+    bool readyValid() const;
+    std::uint32_t readyPop();
+
+    /** Register the consumer of the ready interface (the manager's
+     *  packet encoder): it is woken when ready packets become visible,
+     *  and when a pop frees the submission or retirement queue it found
+     *  full. */
+    void setReadyListener(sim::Ticked *listener);
+
+    // -- Retirement interface (one Picos ID per packet) --
+    bool retireCanAccept() const;
+    bool retirePush(std::uint32_t picos_id);
+
+    // -- Introspection (tests) --
+    const sim::PortParams &readyParams() const;
+    const sim::PortParams &retireParams() const;
+
+  private:
+    ShardedPicos *sp_;
+    unsigned c_;
+};
+
 class ShardedPicos final : public sim::Ticked
 {
   public:
     ShardedPicos(const sim::Clock &clock, const PicosParams &params,
                  const TopologyParams &topo, sim::StatGroup &stats);
 
-    /** The SchedulerIf endpoint cluster @p c's manager connects to. */
-    SchedulerIf &clusterPort(unsigned c);
+    /** The endpoint cluster @p c's manager connects to. */
+    ClusterPort &clusterPort(unsigned c) { return ports_.at(c); }
 
     /**
      * Arm a KillShard/StallLink fault: while the scheduler's clock
@@ -91,7 +135,8 @@ class ShardedPicos final : public sim::Ticked
      * @p next = now + 1, or a future cycle at which a queued element
      * becomes visible. Stalls on state only a retirement or the manager
      * can change contribute nothing: retirements run in this tick, and
-     * ClusterPort::readyPop wakes a ready issue waiting for space.
+     * ClusterPort::readyPop wakes a ready issue waiting for space, or an
+     * idle cluster that may steal.
      */
     Cycle nextSelfDue(Cycle next) const;
 
@@ -120,6 +165,13 @@ class ShardedPicos final : public sim::Ticked
         return shards_.at(s).trsStalls.open();
     }
 
+    /** Shard @p s's gateway waits for a dependence-table way. */
+    bool
+    depTableStalled(unsigned s) const
+    {
+        return shards_.at(s).depTableStalls.open();
+    }
+
     /** Cluster @p c's router holds a descriptor for a full gateway queue. */
     bool
     backpressured(unsigned c) const
@@ -140,19 +192,23 @@ class ShardedPicos final : public sim::Ticked
     {
         Shard(const sim::Clock &clock, const PicosParams &p,
               const TopologyParams &topo, sim::StatGroup &stats,
-              unsigned id, sim::Ticked *owner, std::size_t notify_cap);
+              const std::string &prefix, unsigned id, sim::Ticked *owner,
+              std::size_t notify_cap);
 
         DepTable table;
         sim::Arbiter gate; ///< gateway serialization across clusters
         std::deque<PendingDesc> inQueue;
 
         // The descriptor being applied; gwDepIndex is the walk's resume
-        // point across dependence-table stalls.
+        // point across dependence-table stalls. A 1x1 gateway claims at
+        // decode and applies at gwApplyAt; a sharded one applies at once.
         int gwTaskId = -1;
         std::size_t gwDepIndex = 0;
+        Cycle gwApplyAt = 0;
         rocc::TaskDescriptor gwDesc;
 
         Cycle retireBusyUntil = 0;
+        Cycle retiredAt = kCycleNever; ///< last retirement: one per cycle
 
         // Gateway stalls on this shard's live timeline (shardLive).
         sim::StallSpan depTableStalls;
@@ -165,8 +221,8 @@ class ShardedPicos final : public sim::Ticked
     struct Cluster
     {
         Cluster(const sim::Clock &clock, const PicosParams &p,
-                const TopologyParams &topo,
-                sim::StatGroup &stats, unsigned id, sim::Ticked *owner);
+                const TopologyParams &topo, sim::StatGroup &stats,
+                const std::string &prefix, unsigned id, sim::Ticked *owner);
 
         sim::TimedPort<std::uint32_t> subQueue;    ///< manager -> router
         sim::TimedPort<std::uint32_t> retireQueue; ///< manager -> shards
@@ -190,23 +246,7 @@ class ShardedPicos final : public sim::Ticked
         sim::Ticked *listener = nullptr;
     };
 
-    class ClusterPort : public SchedulerIf
-    {
-      public:
-        ClusterPort(ShardedPicos &sp, unsigned c) : sp_(sp), c_(c) {}
-
-        bool subCanAccept() const override;
-        bool subPush(std::uint32_t packet) override;
-        bool readyValid() const override;
-        std::uint32_t readyPop() override;
-        void setReadyListener(sim::Ticked *listener) override;
-        bool retireCanAccept() const override;
-        bool retirePush(std::uint32_t picos_id) override;
-
-      private:
-        ShardedPicos &sp_;
-        unsigned c_;
-    };
+    friend class ClusterPort;
 
     unsigned shardOfDesc(const rocc::TaskDescriptor &desc,
                          const Cluster &cl) const;
@@ -219,6 +259,7 @@ class ShardedPicos final : public sim::Ticked
 
     void tickNotify();
     void tickRetire();
+    void tickCollect();
     void tickGateways();
     void tickRouters();
     void tickReadyIssue();
@@ -300,13 +341,14 @@ class ShardedPicos final : public sim::Ticked
     const sim::Clock &clock_;
     PicosParams params_;
     TopologyParams topo_;
-    sim::StatGroup &stats_;
+    const bool single_;   ///< topo_.singlePicos(): the paper's Picos
+    const bool stealing_; ///< a dry cluster may steal from a neighbour
+    const std::string prefix_; ///< stat prefix: "picos" at 1x1
 
     // Cached stat-registry slots for the per-packet/per-edge counters.
     sim::Scalar *statSubPackets_;
     sim::Scalar *statRetirePackets_;
     sim::Scalar *statCrossShardEdges_;
-    sim::Scalar *statTasksProcessed_;
     sim::Scalar *statCrossShardNotifies_;
     sim::Scalar *statBadRetires_;
     sim::Scalar *statSteals_;
@@ -319,8 +361,80 @@ class ShardedPicos final : public sim::Ticked
     sim::FaultPlan fault_{}; ///< armed KillShard/StallLink fault, if any
 
     unsigned rrRetire_ = 0; ///< retire arbiter round-robin over clusters
-    std::vector<char> retireServed_; ///< per-shard scratch for tickRetire
 };
+
+// -- ClusterPort: inline, so the manager's per-cycle calls are direct ----
+
+inline bool
+ClusterPort::subCanAccept() const
+{
+    return sp_->clusters_[c_].subQueue.canPush();
+}
+
+inline bool
+ClusterPort::subPush(std::uint32_t packet)
+{
+    if (!sp_->clusters_[c_].subQueue.push(packet))
+        return false;
+    ++*sp_->statSubPackets_;
+    return true;
+}
+
+inline bool
+ClusterPort::readyValid() const
+{
+    return sp_->clusters_[c_].readyQueue.frontReady();
+}
+
+inline std::uint32_t
+ClusterPort::readyPop()
+{
+    // The pop that frees room for a whole tuple unblocks a ready issue
+    // waiting for space, or lets an idle cluster steal; nothing polls
+    // for either, and nothing else needs the scheduler awake.
+    ShardedPicos::Cluster &cl = sp_->clusters_[c_];
+    const Cycle now = sp_->clock_.now();
+    if (cl.readyQueue.capacity() - cl.readyQueue.size() == 2 &&
+        (cl.readyIssuingId >= 0 ? cl.readyBusyUntil <= now
+                                : sp_->stealing_))
+        sp_->requestWake(now);
+    return cl.readyQueue.pop();
+}
+
+inline void
+ClusterPort::setReadyListener(sim::Ticked *listener)
+{
+    ShardedPicos::Cluster &cl = sp_->clusters_[c_];
+    cl.readyQueue.setOwner(listener);
+    cl.listener = listener;
+}
+
+inline bool
+ClusterPort::retireCanAccept() const
+{
+    return sp_->clusters_[c_].retireQueue.canPush();
+}
+
+inline bool
+ClusterPort::retirePush(std::uint32_t picos_id)
+{
+    if (!sp_->clusters_[c_].retireQueue.push(picos_id))
+        return false;
+    ++*sp_->statRetirePackets_;
+    return true;
+}
+
+inline const sim::PortParams &
+ClusterPort::readyParams() const
+{
+    return sp_->clusters_[c_].readyQueue.params();
+}
+
+inline const sim::PortParams &
+ClusterPort::retireParams() const
+{
+    return sp_->clusters_[c_].retireQueue.params();
+}
 
 } // namespace picosim::picos
 

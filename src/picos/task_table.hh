@@ -1,15 +1,15 @@
 /**
  * @file
- * The dependence-management core of Picos (paper Section III-A), shared
- * by the single accelerator (picos::Picos) and the sharded fabric
- * (picos::ShardedPicos): the task reservation entries, the RAW/WAW/WAR
+ * The dependence-management core of Picos (paper Section III-A), run by
+ * picos::ShardedPicos with one slice per shard (one slice for the
+ * paper's single Picos): the task reservation entries, the RAW/WAW/WAR
  * walk over the dependence table, the wakeup rule at retirement, the
  * entry release and the three-packet ready tuple.
  *
- * What differs in hardware stays with each engine and reaches the walk
- * as inline template callables: which DepTable holds an address, what
- * else a new edge costs, and what a retirement does with each live
- * dependent. The table itself never knows which engine drives it.
+ * What differs between topologies stays with the scheduler and reaches
+ * the walk as inline template callables: which DepTable holds an
+ * address, what else a new edge costs, and what a retirement does with
+ * each live dependent.
  */
 
 #ifndef PICOSIM_PICOS_TASK_TABLE_HH
@@ -51,7 +51,8 @@ class TaskTable
     /**
      * @p slices free lists of @p slice_entries ids each: slice s owns
      * ids [s * slice_entries, (s + 1) * slice_entries). Registers the
-     * depEdges, inFlight, readyIssued and retires stats under @p prefix.
+     * depEdges, inFlight, readyIssued, retires and tasksProcessed stats
+     * under @p prefix.
      */
     TaskTable(sim::StatGroup &stats, const std::string &prefix,
               unsigned slices, unsigned slice_entries)
@@ -60,6 +61,7 @@ class TaskTable
           statDepEdges_(&stats.scalar(prefix + ".depEdges")),
           statReadyIssued_(&stats.scalar(prefix + ".readyIssued")),
           statRetires_(&stats.scalar(prefix + ".retires")),
+          statProcessed_(&stats.scalar(prefix + ".tasksProcessed")),
           statInFlight_(&stats.dist(prefix + ".inFlight"))
     {
         for (std::uint32_t id = 0; id < tasks_.size(); ++id)
@@ -86,8 +88,16 @@ class TaskTable
     }
 
     unsigned inFlight() const { return inFlight_; }
-    std::uint64_t processed() const { return processed_; }
-    std::uint64_t retired() const { return retired_; }
+    std::uint64_t
+    processed() const
+    {
+        return static_cast<std::uint64_t>(statProcessed_->value());
+    }
+    std::uint64_t
+    retired() const
+    {
+        return static_cast<std::uint64_t>(statRetires_->value());
+    }
 
     bool hasFree(unsigned slice) const { return !free_[slice].empty(); }
 
@@ -154,7 +164,7 @@ class TaskTable
         }
 
         TaskEntry &task = tasks_[id];
-        ++processed_;
+        ++*statProcessed_;
         ++inFlight_;
         statInFlight_->sample(inFlight_);
         // Only now may wakeups ready this task: producers that retired
@@ -212,7 +222,6 @@ class TaskTable
         ++t.gen;
         free_[sliceOf(id)].push_back(id);
         --inFlight_;
-        ++retired_;
         ++*statRetires_;
         return woken;
     }
@@ -299,13 +308,12 @@ class TaskTable
     std::vector<TaskEntry> tasks_;
     std::vector<std::deque<std::uint32_t>> free_; ///< per slice, FIFO
     unsigned inFlight_ = 0;
-    std::uint64_t processed_ = 0;
-    std::uint64_t retired_ = 0;
 
     // Cached stat-registry slots (node addresses are stable).
     sim::Scalar *statDepEdges_;
     sim::Scalar *statReadyIssued_;
     sim::Scalar *statRetires_;
+    sim::Scalar *statProcessed_;
     sim::Distribution *statInFlight_;
 };
 

@@ -4,13 +4,17 @@
  * instantiates, how cores are grouped into clusters in front of them, and
  * the port-level timings of the fabric in between.
  *
- * The default (1 shard, 1 cluster) reproduces the paper's single
- * centralized Picos exactly — the sharded code path is not even
- * constructed, so the paper-reproduction goldens stay bit-identical.
+ * The default (1 shard, 1 cluster) is the paper's single centralized
+ * Picos: ShardedPicos then drops the fabric (no link latency, no
+ * one-tuple buffering) and runs Picos's gateway FSM, so the
+ * paper-reproduction goldens stay bit-identical, and the stats keep the
+ * paper's "picos" and "manager" names.
  */
 
 #ifndef PICOSIM_PICOS_TOPOLOGY_HH
 #define PICOSIM_PICOS_TOPOLOGY_HH
+
+#include <string>
 
 #include "sim/types.hh"
 
@@ -47,11 +51,26 @@ struct TopologyParams
     /** Decoded-descriptor slots buffered at each shard's gateway. */
     unsigned gatewayQueueDepth = 4;
 
-    /** True when the single centralized Picos path must be constructed. */
+    /** True for the paper's single centralized Picos (1 shard x 1
+     *  cluster): no fabric, nothing to steal for, Picos's gateway FSM. */
     bool
     singlePicos() const
     {
         return schedShards <= 1 && clusters <= 1;
+    }
+
+    /** Stat prefix of the scheduler: the paper's Picos keeps "picos". */
+    std::string
+    schedulerStatPrefix() const
+    {
+        return singlePicos() ? "picos" : "sharded";
+    }
+
+    /** Stat prefix of cluster @p c's manager. */
+    std::string
+    managerStatPrefix(unsigned c) const
+    {
+        return singlePicos() ? "manager" : "manager.c" + std::to_string(c);
     }
 };
 

@@ -52,10 +52,11 @@ namespace
 void
 fillContentionStats(RunResult &res, cpu::System &sys)
 {
-    const auto stat = [&sys](const char *name) {
+    const auto stat = [&sys](const std::string &name) {
         return static_cast<std::uint64_t>(sys.stats().scalarValue(name));
     };
-    const auto sum = [&sys](const char *prefix, const char *suffix) {
+    const auto sum = [&sys](const std::string &prefix,
+                            const std::string &suffix) {
         return static_cast<std::uint64_t>(
             sys.stats().sumScalars(prefix, suffix));
     };
@@ -70,9 +71,10 @@ fillContentionStats(RunResult &res, cpu::System &sys)
     res.schedSubStalls = sum("manager", ".finalBuffer.pushStalls");
     res.schedRoutingStalls = sum("manager", ".routingQueue.pushStalls");
     res.schedReadyStalls = sum("manager", ".roccReadyQueue.pushStalls");
-    res.schedGatewayStallCycles = sum("sharded.", ".gate.stallCycles");
-    res.crossShardEdges = stat("sharded.crossShardEdges");
-    res.workSteals = stat("sharded.steals");
+    const std::string sched = sys.params().topology.schedulerStatPrefix();
+    res.schedGatewayStallCycles = sum(sched + ".", ".gate.stallCycles");
+    res.crossShardEdges = stat(sched + ".crossShardEdges");
+    res.workSteals = stat(sched + ".steals");
 }
 
 /**

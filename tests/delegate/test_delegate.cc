@@ -173,5 +173,5 @@ TEST_F(DelegateTest, SubmitThreeSplitsOperands)
     const auto sw = del.fetchSwId();
     ASSERT_TRUE(sw.has_value());
     EXPECT_EQ(*sw, 0xAAAAAAAABBBBBBBBull);
-    EXPECT_EQ(sys_.picos().tasksProcessed(), 1u);
+    EXPECT_EQ(sys_.scheduler().tasksProcessed(), 1u);
 }

@@ -154,8 +154,8 @@ TEST(EndToEnd, StatsAreInternallyConsistent)
     EXPECT_EQ(st.scalarValue("manager.tuplesEncoded"), 64.0);
     EXPECT_EQ(st.scalarValue("manager.readyDelivered"), 64.0);
     EXPECT_EQ(st.scalarValue("manager.zeroPadPackets"), 64.0 * 39.0);
-    EXPECT_EQ(sys.picos().tasksProcessed(), 64u);
-    EXPECT_TRUE(sys.picos().quiescent());
+    EXPECT_EQ(sys.scheduler().tasksProcessed(), 64u);
+    EXPECT_TRUE(sys.scheduler().quiescent());
 }
 
 class EndToEndCoreSweep : public ::testing::TestWithParam<unsigned>

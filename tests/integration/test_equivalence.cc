@@ -17,7 +17,7 @@
 #include <map>
 #include <vector>
 
-#include "picos/picos.hh"
+#include "picos/sharded_picos.hh"
 #include "rocc/task_packets.hh"
 #include "runtime/sw_dep_graph.hh"
 #include "runtime/task_types.hh"
@@ -101,7 +101,9 @@ hardwareSchedule(const std::vector<rt::Task> &tasks)
 {
     sim::Clock clock;
     sim::StatGroup stats;
-    picos::Picos picos(clock, picos::PicosParams{}, stats);
+    picos::ShardedPicos sched(clock, picos::PicosParams{},
+                             picos::TopologyParams{}, stats);
+    picos::ClusterPort &picos = sched.clusterPort(0);
 
     std::vector<std::uint32_t> packets;
     for (const rt::Task &t : tasks) {
@@ -131,7 +133,7 @@ hardwareSchedule(const std::vector<rt::Task> &tasks)
                 picos.retirePush(buf[0]);
             }
         }
-        picos.tick();
+        sched.tick();
         clock.advanceTo(clock.now() + 1);
     }
     return order.size() == tasks.size() ? order

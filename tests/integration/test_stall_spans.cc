@@ -2,7 +2,7 @@
  * @file
  * Stall counters of the wake-driven schedulers.
  *
- * Picos and ShardedPicos sleep through gateway stalls instead of
+ * The Picos scheduler sleeps through gateway stalls instead of
  * retrying every cycle, and count the stalled cycles by span
  * (sim::StallSpan). These tests pin that every counter equals what
  * retrying every cycle counts, at the points where statistics are read:
@@ -105,7 +105,7 @@ completeRunCycles(const cpu::SystemParams &sp, const Program &prog)
     return rig.sys.clock().now();
 }
 
-using StallProbe = bool (*)(const picos::Picos &);
+using StallProbe = bool (*)(const picos::ShardedPicos &);
 
 /**
  * Step an event-driven run one cycle at a time (each step is a
@@ -121,7 +121,7 @@ findStall(const cpu::SystemParams &sp, const Program &prog,
     Cycle since = kCycleNever;
     while (!rig.sys.run(1)) {
         const Cycle now = rig.sys.clock().now();
-        if (!stalled(rig.sys.picos())) {
+        if (!stalled(rig.sys.scheduler())) {
             since = kCycleNever;
             continue;
         }
@@ -145,7 +145,7 @@ expectCutsAgree(const cpu::SystemParams &sp, const Program &prog,
 
     Rig ev(sp, prog, Kernel::EventDriven);
     ASSERT_FALSE(ev.sys.run(limit));
-    EXPECT_TRUE(stalled(ev.sys.picos())) << "cut is not mid-stall";
+    EXPECT_TRUE(stalled(ev.sys.scheduler())) << "cut is not mid-stall";
     const std::string event = ev.dump();
     EXPECT_GT(ev.sys.stats().scalarValue(counter), 500.0);
 
@@ -170,7 +170,9 @@ TEST(StallSpans, CycleLimitMidTrsStall)
     cpu::SystemParams sp = smallSystem();
     sp.picos.trsEntries = 4;
     expectCutsAgree(sp, apps::taskFree(64, 1, 4000),
-                    [](const picos::Picos &p) { return p.trsStalled(); },
+                    [](const picos::ShardedPicos &p) {
+                        return p.trsStalled(0);
+                    },
                     "picos.trsStalls");
 }
 
@@ -180,8 +182,8 @@ TEST(StallSpans, CycleLimitMidDepTableStall)
     sp.picos.dctSets = 1;
     sp.picos.dctWays = 2;
     expectCutsAgree(sp, apps::taskFree(64, 1, 4000),
-                    [](const picos::Picos &p) {
-                        return p.depTableStalled();
+                    [](const picos::ShardedPicos &p) {
+                        return p.depTableStalled(0);
                     },
                     "picos.depTableStalls");
 }
@@ -204,7 +206,7 @@ findShardedStall(const cpu::SystemParams &sp, const Program &prog,
     Cycle since = kCycleNever;
     while (!rig.sys.run(1)) {
         const Cycle now = rig.sys.clock().now();
-        if (!stalled(*rig.sys.sharded(), target)) {
+        if (!stalled(rig.sys.scheduler(), target)) {
             since = kCycleNever;
             continue;
         }

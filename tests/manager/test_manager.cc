@@ -3,7 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "manager/picos_manager.hh"
-#include "picos/picos.hh"
+#include "picos/sharded_picos.hh"
 #include "rocc/task_packets.hh"
 #include "sim/kernel.hh"
 
@@ -20,8 +20,10 @@ class ManagerTest : public ::testing::Test
     static constexpr unsigned kCores = 4;
 
     ManagerTest()
-        : picos_(sim_.clock(), picos::PicosParams{}, sim_.stats()),
-          mgr_(sim_.clock(), picos_, kCores, ManagerParams{}, sim_.stats())
+        : picos_(sim_.clock(), picos::PicosParams{},
+                 picos::TopologyParams{}, sim_.stats()),
+          mgr_(sim_.clock(), picos_.clusterPort(0), kCores, ManagerParams{},
+               sim_.stats())
     {
         sim_.addTicked(&mgr_);
         sim_.addTicked(&picos_);
@@ -63,7 +65,7 @@ class ManagerTest : public ::testing::Test
     }
 
     sim::Simulator sim_;
-    picos::Picos picos_;
+    picos::ShardedPicos picos_; ///< 1x1: the paper's single Picos
     PicosManager mgr_;
 };
 

@@ -1,11 +1,14 @@
-/** @file Unit tests for the Picos accelerator model. */
+/**
+ * @file Unit tests for the Picos accelerator model: the scheduler at
+ * 1 shard x 1 cluster, driven through its one cluster port.
+ */
 
 #include <gtest/gtest.h>
 
 #include <optional>
 #include <vector>
 
-#include "picos/picos.hh"
+#include "picos/sharded_picos.hh"
 #include "rocc/task_packets.hh"
 #include "sim/clock.hh"
 #include "sim/kernel.hh"
@@ -21,13 +24,17 @@ namespace
 class PicosTest : public ::testing::Test
 {
   protected:
-    PicosTest() : picos_(clock_, PicosParams{}, stats_) {}
+    PicosTest()
+        : sched_(clock_, PicosParams{}, TopologyParams{}, stats_),
+          picos_(sched_.clusterPort(0))
+    {
+    }
 
     void
     step(unsigned n = 1)
     {
         for (unsigned i = 0; i < n; ++i) {
-            picos_.tick();
+            sched_.tick();
             clock_.advanceTo(clock_.now() + 1);
         }
     }
@@ -76,7 +83,8 @@ class PicosTest : public ::testing::Test
 
     sim::Clock clock_;
     sim::StatGroup stats_;
-    Picos picos_;
+    ShardedPicos sched_;
+    ClusterPort &picos_;
 };
 
 } // namespace
@@ -87,8 +95,8 @@ TEST_F(PicosTest, IndependentTaskBecomesReady)
     const auto t = awaitReady();
     ASSERT_TRUE(t.has_value());
     EXPECT_EQ(t->swId, 42u);
-    EXPECT_EQ(picos_.taskState(t->picosId), TaskState::Running);
-    EXPECT_EQ(picos_.inFlightTasks(), 1u);
+    EXPECT_EQ(sched_.taskState(t->picosId), TaskState::Running);
+    EXPECT_EQ(sched_.inFlightTasks(), 1u);
 }
 
 TEST_F(PicosTest, ZeroDepTaskIsReadyImmediately)
@@ -178,7 +186,7 @@ TEST_F(PicosTest, ChainExecutesInOrder)
     }
     // Everything retires; Picos drains.
     step(100);
-    EXPECT_TRUE(picos_.quiescent());
+    EXPECT_TRUE(sched_.quiescent());
 }
 
 TEST_F(PicosTest, RetireFreesReservationEntry)
@@ -186,11 +194,11 @@ TEST_F(PicosTest, RetireFreesReservationEntry)
     submit(1, {});
     const auto t = awaitReady();
     ASSERT_TRUE(t.has_value());
-    EXPECT_EQ(picos_.inFlightTasks(), 1u);
+    EXPECT_EQ(sched_.inFlightTasks(), 1u);
     retire(t->picosId);
     step(100);
-    EXPECT_EQ(picos_.inFlightTasks(), 0u);
-    EXPECT_EQ(picos_.tasksRetired(), 1u);
+    EXPECT_EQ(sched_.inFlightTasks(), 0u);
+    EXPECT_EQ(sched_.tasksRetired(), 1u);
 }
 
 TEST_F(PicosTest, BadRetireIsCountedNotFatal)
@@ -254,7 +262,8 @@ TEST(PicosCapacity, TrsFullExertsBackpressure)
     sim::StatGroup stats;
     PicosParams p;
     p.trsEntries = 2;
-    Picos picos(clock, p, stats);
+    ShardedPicos sched(clock, p, TopologyParams{}, stats);
+    ClusterPort &picos = sched.clusterPort(0);
 
     auto push_desc = [&](std::uint64_t id) {
         TaskDescriptor d;
@@ -266,7 +275,7 @@ TEST(PicosCapacity, TrsFullExertsBackpressure)
         for (unsigned i = 0; i < 5000 && pushed < pkts.size(); ++i) {
             if (picos.subPush(pkts[pushed]))
                 ++pushed;
-            picos.tick();
+            sched.tick();
             clock.advanceTo(clock.now() + 1);
         }
         return pushed == pkts.size();
@@ -288,7 +297,8 @@ TEST(PicosCapacity, DepTableConflictStallsNotCorrupts)
     PicosParams p;
     p.dctSets = 1;
     p.dctWays = 2; // only two live addresses at a time
-    Picos picos(clock, p, stats);
+    ShardedPicos sched(clock, p, TopologyParams{}, stats);
+    ClusterPort &picos = sched.clusterPort(0);
 
     auto submit_and_tick = [&](std::uint64_t id, Addr a) {
         TaskDescriptor d;
@@ -300,7 +310,7 @@ TEST(PicosCapacity, DepTableConflictStallsNotCorrupts)
         for (unsigned i = 0; i < 20000 && pushed < pkts.size(); ++i) {
             if (picos.subPush(pkts[pushed]))
                 ++pushed;
-            picos.tick();
+            sched.tick();
             clock.advanceTo(clock.now() + 1);
         }
     };
@@ -312,10 +322,10 @@ TEST(PicosCapacity, DepTableConflictStallsNotCorrupts)
     // Without retirement, the gateway must stall on the full set: only
     // the first two descriptors complete processing.
     for (unsigned i = 0; i < 300; ++i) {
-        picos.tick();
+        sched.tick();
         clock.advanceTo(clock.now() + 1);
     }
-    EXPECT_EQ(picos.tasksProcessed(), 2u);
+    EXPECT_EQ(sched.tasksProcessed(), 2u);
     EXPECT_GE(stats.scalarValue("picos.depTableStalls"), 1.0);
 
     // Drain: pop ready tasks and retire them; eventually all three retire.
@@ -331,7 +341,7 @@ TEST(PicosCapacity, DepTableConflictStallsNotCorrupts)
                 ++retired;
             }
         }
-        picos.tick();
+        sched.tick();
         clock.advanceTo(clock.now() + 1);
     }
     EXPECT_EQ(retired, 3u);
@@ -349,9 +359,10 @@ class PicosWake
 {
   public:
     explicit PicosWake(const PicosParams &p)
-        : picos(sim.clock(), p, sim.stats())
+        : sched(sim.clock(), p, TopologyParams{}, sim.stats()),
+          picos(sched.clusterPort(0))
     {
-        sim.addTicked(&picos);
+        sim.addTicked(&sched);
     }
 
     void
@@ -384,7 +395,7 @@ class PicosWake
     selfDueNext() const
     {
         const Cycle next = sim.clock().now() + 1;
-        return picos.nextSelfDue(next) <= next;
+        return sched.nextSelfDue(next) <= next;
     }
 
     /** Run @p n cycles and return how many times Picos was ticked. */
@@ -403,7 +414,8 @@ class PicosWake
     }
 
     sim::Simulator sim;
-    Picos picos;
+    ShardedPicos sched;
+    ClusterPort &picos;
 };
 
 } // namespace
@@ -435,7 +447,7 @@ TEST(PicosNoPoll, StalledGatewaySleepsUntilRetirement)
     w.sim.runFor(500);
     const std::uint32_t first = w.popTuple();
     w.sim.runFor(10);
-    ASSERT_TRUE(w.picos.depTableStalled());
+    ASSERT_TRUE(w.sched.depTableStalled(0));
     EXPECT_FALSE(w.selfDueNext());
 
     // Asleep, yet the counter reads what retrying every cycle counts.
@@ -445,8 +457,8 @@ TEST(PicosNoPoll, StalledGatewaySleepsUntilRetirement)
 
     ASSERT_TRUE(w.picos.retirePush(first));
     w.sim.runFor(200);
-    EXPECT_FALSE(w.picos.depTableStalled());
-    EXPECT_EQ(w.picos.tasksProcessed(), 2u);
+    EXPECT_FALSE(w.sched.depTableStalled(0));
+    EXPECT_EQ(w.sched.tasksProcessed(), 2u);
 }
 
 TEST(PicosNoPoll, TrsStallSleepsUntilRetirement)
@@ -459,7 +471,7 @@ TEST(PicosNoPoll, TrsStallSleepsUntilRetirement)
     w.sim.runFor(500);
     const std::uint32_t first = w.popTuple();
     w.sim.runFor(10);
-    ASSERT_TRUE(w.picos.trsStalled());
+    ASSERT_TRUE(w.sched.trsStalled(0));
     EXPECT_FALSE(w.selfDueNext());
 
     const double before = w.stat("picos.trsStalls");
@@ -468,8 +480,8 @@ TEST(PicosNoPoll, TrsStallSleepsUntilRetirement)
 
     ASSERT_TRUE(w.picos.retirePush(first));
     w.sim.runFor(200);
-    EXPECT_FALSE(w.picos.trsStalled());
-    EXPECT_EQ(w.picos.tasksProcessed(), 2u);
+    EXPECT_FALSE(w.sched.trsStalled(0));
+    EXPECT_EQ(w.sched.tasksProcessed(), 2u);
 }
 
 TEST(PicosNoPoll, WakeupDuringAStalledWalkWaitsForTheWalk)
@@ -487,22 +499,22 @@ TEST(PicosNoPoll, WakeupDuringAStalledWalkWaitsForTheWalk)
     w.sim.runFor(500);
     const std::uint32_t a = w.popTuple();
     const std::uint32_t b = w.popTuple();
-    ASSERT_TRUE(w.picos.depTableStalled());
+    ASSERT_TRUE(w.sched.depTableStalled(0));
     ASSERT_EQ(w.stat("picos.depEdges"), 1.0);
 
     // A retires: C's only edge resolves mid-walk, yet C is not issued,
     // since its remaining dependence may still add edges.
     ASSERT_TRUE(w.picos.retirePush(a));
     w.sim.runFor(500);
-    EXPECT_TRUE(w.picos.depTableStalled());
+    EXPECT_TRUE(w.sched.depTableStalled(0));
     EXPECT_FALSE(w.picos.readyValid());
     EXPECT_EQ(w.stat("picos.readyIssued"), 2.0);
 
     // B's retirement frees a way: the walk completes and readies C.
     ASSERT_TRUE(w.picos.retirePush(b));
     w.sim.runFor(500);
-    EXPECT_FALSE(w.picos.depTableStalled());
-    EXPECT_EQ(w.picos.tasksProcessed(), 3u);
+    EXPECT_FALSE(w.sched.depTableStalled(0));
+    EXPECT_EQ(w.sched.tasksProcessed(), 3u);
     ASSERT_TRUE(w.picos.readyValid());
-    EXPECT_EQ(w.picos.taskState(w.popTuple()), TaskState::Running);
+    EXPECT_EQ(w.sched.taskState(w.popTuple()), TaskState::Running);
 }

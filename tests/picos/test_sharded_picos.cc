@@ -68,14 +68,8 @@ runTraced(const Program &prog, const HarnessParams &hp, TaskTrace &trace,
     RunResult res;
     res.completed = ok && runtime.finished();
     res.cycles = sys.clock().now();
-    if (cross_shard_edges) {
-        if (sys.sharded() == nullptr) {
-            ADD_FAILURE() << "expected a sharded topology";
-            res.completed = false;
-        } else {
-            *cross_shard_edges = sys.sharded()->crossShardEdges();
-        }
-    }
+    if (cross_shard_edges)
+        *cross_shard_edges = sys.scheduler().crossShardEdges();
     return res;
 }
 
@@ -279,7 +273,7 @@ TEST(Topology, ClusterLayoutIsContiguousAndBalanced)
         EXPECT_GE(n, 2u); // 10 cores over 4 clusters: sizes 2..3
         EXPECT_LE(n, 3u);
     }
-    EXPECT_EQ(sys.sharded()->numShards(), 2u);
+    EXPECT_EQ(sys.scheduler().numShards(), 2u);
 }
 
 TEST(Topology, NonDivisibleClusterCountRunsEndToEnd)
@@ -300,12 +294,37 @@ TEST(Topology, NonDivisibleClusterCountRunsEndToEnd)
 
 TEST(Topology, SinglePicosTopologyKeepsTheCentralizedPath)
 {
+    // 1 shard x 1 cluster is the paper's Picos: no fabric latency on the
+    // retire link, Picos's 24-packet ready FIFO and the configured
+    // manager ready queue, since there is no neighbour to steal for.
     cpu::SystemParams sp;
     sp.numCores = 4;
     cpu::System sys(sp);
-    EXPECT_EQ(sys.sharded(), nullptr);
     EXPECT_EQ(sys.numClusters(), 1u);
-    EXPECT_NO_THROW(sys.picos());
+    EXPECT_EQ(sys.scheduler().numShards(), 1u);
+    const picos::ClusterPort &port = sys.scheduler().clusterPort(0);
+    EXPECT_EQ(port.retireParams().latency, 1u);
+    EXPECT_EQ(port.readyParams().capacity, sp.picos.readyQueueDepth);
+    EXPECT_EQ(sys.manager().params().roccReadyQueueDepth,
+              sp.manager.roccReadyQueueDepth);
+
+    // Any other topology keeps one buffered tuple per cluster, even
+    // with a single shard or a single cluster.
+    for (const auto &[shards, clusters] :
+         std::vector<std::pair<unsigned, unsigned>>{{1, 2}, {2, 1}}) {
+        cpu::SystemParams tp = sp;
+        tp.topology.schedShards = shards;
+        tp.topology.clusters = clusters;
+        cpu::System ts(tp);
+        for (unsigned c = 0; c < clusters; ++c) {
+            const picos::ClusterPort &p = ts.scheduler().clusterPort(c);
+            EXPECT_EQ(p.readyParams().capacity, 3u)
+                << shards << "x" << clusters;
+            EXPECT_EQ(p.retireParams().latency,
+                      1 + tp.topology.clusterLinkCycles);
+            EXPECT_EQ(ts.manager(c).params().roccReadyQueueDepth, 1u);
+        }
+    }
 }
 TEST(ShardedStallDefer, WakeupDuringAStalledWalkKeepsItsPlacement)
 {
@@ -323,10 +342,10 @@ TEST(ShardedStallDefer, WakeupDuringAStalledWalkKeepsItsPlacement)
     sim::Simulator sim;
     picos::ShardedPicos sp(sim.clock(), p, topo, sim.stats());
     sim.addTicked(&sp);
-    picos::SchedulerIf &c0 = sp.clusterPort(0);
-    picos::SchedulerIf &c1 = sp.clusterPort(1);
+    picos::ClusterPort &c0 = sp.clusterPort(0);
+    picos::ClusterPort &c1 = sp.clusterPort(1);
 
-    const auto submit = [&sim](picos::SchedulerIf &port, std::uint64_t id,
+    const auto submit = [&sim](picos::ClusterPort &port, std::uint64_t id,
                                std::vector<rocc::TaskDep> deps) {
         rocc::TaskDescriptor desc;
         desc.swId = id;
@@ -339,7 +358,7 @@ TEST(ShardedStallDefer, WakeupDuringAStalledWalkKeepsItsPlacement)
         }
         sim.runFor(200);
     };
-    const auto popTuple = [](picos::SchedulerIf &port) {
+    const auto popTuple = [](picos::ClusterPort &port) {
         EXPECT_TRUE(port.readyValid());
         const std::uint32_t id = port.readyPop();
         const std::uint64_t hi = port.readyPop();

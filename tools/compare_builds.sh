@@ -68,6 +68,13 @@ configs+=(
     "--workload=blackscholes --wl.options=4096 --wl.block=8 --runtime=nanos-rv --cycle-limit=200000"
     "--workload=sparselu --wl.nb=12 --wl.bs=48 --runtime=phentos"
     "--workload=sparselu --wl.nb=12 --wl.bs=24 --runtime=phentos --mode=tickworld"
+    # The single Picos's gateway FSM, its fabric-free retire link, and
+    # its ready buffering, which must not leak into an N x 1 topology.
+    "--workload=task-free --wl.deps=15 --cores=1 --runtime=phentos"
+    "--workload=task-chain --wl.tasks=2000 --wl.payload=0 --cores=16 --runtime=nanos-rv"
+    "--workload=stream-barr --wl.blocks=16 --wl.elems=16 --runtime=nanos-rv"
+    "--workload=task-chain --runtime=nanos-axi"
+    "--workload=jacobi --wl.n=256 --sched-shards=4 --clusters=1 --runtime=phentos"
     # Sharded fabric under both fault kinds.
     "--workload=task-free --wl.tasks=2000 --wl.payload=500 --cores=16 --sched-shards=4 --clusters=4 --fault.kind=kill-shard --fault.cycle=20000 --fault.until=120000 --fault.target=0"
     "--workload=task-chain --cores=16 --sched-shards=4 --clusters=4 --fault.kind=stall-link --fault.cycle=20000 --fault.until=90000 --fault.target=0"
