@@ -25,7 +25,6 @@ class Core final : public sim::Ticked
           ctx_(clock),
           resumes_(&stats.scalar("core" + std::to_string(id) + ".resumes"))
     {
-        bindFastDispatch<Core>();
     }
 
     CoreId id() const { return id_; }
@@ -75,18 +74,8 @@ class Core final : public sim::Ticked
         }
     }
 
-    bool
-    active() const override
-    {
-        return ctx_.wakeAt() <= clock_.now() + 1;
-    }
-
-    Cycle wakeAt() const override { return ctx_.wakeAt(); }
-
-    /** Fused re-arm query: one HartContext::wakeAt() read instead of the
-     *  separate active()+wakeAt() pair. */
     Cycle
-    nextSelfDue(Cycle next) const
+    nextDue(Cycle next) const override
     {
         const Cycle wake = ctx_.wakeAt();
         return wake <= next ? next : wake;

@@ -39,7 +39,6 @@ PicosManager::PicosManager(const sim::Clock &clock,
     // The packet encoder consumes Picos's ready interface; have Picos wake
     // this manager when ready packets become visible to it.
     sched_.setReadyListener(this);
-    bindFastDispatch<PicosManager>();
 }
 
 // -- Delegate-facing interface ----------------------------------------
@@ -235,7 +234,7 @@ PicosManager::tick()
 }
 
 Cycle
-PicosManager::nextSelfDue(Cycle next) const
+PicosManager::nextDue(Cycle next) const
 {
     const Cycle now = next - 1;
     // Every per-core port has latency 0 or 1 and is pushed at the

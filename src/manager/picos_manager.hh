@@ -79,11 +79,6 @@ class PicosManager final : public sim::Ticked
 
     // -- Ticked --
     void tick() override;
-    bool active() const override
-    {
-        return nextSelfDue(clock_.now() + 1) <= clock_.now() + 1;
-    }
-    Cycle wakeAt() const override { return nextSelfDue(clock_.now() + 1); }
 
     /**
      * The earliest cycle at which tick() can make progress, given
@@ -94,7 +89,7 @@ class PicosManager final : public sim::Ticked
      * (through the ready-listener registration), and Submission Requests
      * wait while the port is granted.
      */
-    Cycle nextSelfDue(Cycle next) const;
+    Cycle nextDue(Cycle next) const override;
 
     // -- Introspection --
     unsigned numCores() const

@@ -109,7 +109,6 @@ ShardedPicos::ShardedPicos(const sim::Clock &clock,
                                this);
         ports_.emplace_back(*this, c);
     }
-    bindFastDispatch<ShardedPicos>();
 }
 
 // -- Dependence management ----------------------------------------------
@@ -439,7 +438,7 @@ ShardedPicos::tick()
 }
 
 Cycle
-ShardedPicos::nextSelfDue(Cycle next) const
+ShardedPicos::nextDue(Cycle next) const
 {
     // Any due cycle at or before next means next, so the first such
     // source returns at once; the cheap, common ones come first.

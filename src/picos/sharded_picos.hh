@@ -123,11 +123,6 @@ class ShardedPicos final : public sim::Ticked
 
     // -- Ticked --
     void tick() override;
-    bool active() const override
-    {
-        return nextSelfDue(clock_.now() + 1) <= clock_.now() + 1;
-    }
-    Cycle wakeAt() const override { return nextSelfDue(clock_.now() + 1); }
     void settleStats(Cycle boundary) override;
 
     /**
@@ -138,7 +133,7 @@ class ShardedPicos final : public sim::Ticked
      * ClusterPort::readyPop wakes a ready issue waiting for space, or an
      * idle cluster that may steal.
      */
-    Cycle nextSelfDue(Cycle next) const;
+    Cycle nextDue(Cycle next) const override;
 
     // -- Introspection (tests, stats) --
     unsigned numShards() const { return topo_.schedShards; }
@@ -323,7 +318,7 @@ class ShardedPicos final : public sim::Ticked
     }
 
     /**
-     * Defer a nextSelfDue() source belonging to a currently-down component:
+     * Defer a nextDue() source belonging to a currently-down component:
      * nothing will service it before the fault heals, so waking for it
      * earlier would be a pure polling storm (and, permanently down,
      * would keep an otherwise-idle system spinning to the cycle limit).

@@ -33,8 +33,6 @@ sim::CoTask<void>
 Phentos::flushPrivate(cpu::HartApi &api)
 {
     PerCore &pc = perCore_[api.coreId()];
-    if (pc.privateRetired == 0)
-        co_return;
     co_await api.atomicRmw(layout::kPhentosRetireCounter);
     sharedRetired_ += pc.privateRetired;
     pc.privateRetired = 0;
@@ -79,7 +77,8 @@ Phentos::tryExecuteOne(cpu::HartApi &api)
     const auto ready = co_await fetchReadyRocc(api);
     if (!ready) {
         ++pc.fetchFails;
-        if (pc.fetchFails >= cm_.phentosFlushThreshold)
+        if (pc.fetchFails >= cm_.phentosFlushThreshold &&
+            pc.privateRetired != 0)
             co_await flushPrivate(api);
         co_return false;
     }
@@ -113,8 +112,10 @@ Phentos::taskwaitAll(cpu::HartApi &api)
 {
     // sharedRetired_ == submitted_ also implies every private counter
     // has been flushed.
+    const PerCore &pc = perCore_[api.coreId()];
     while (true) {
-        co_await flushPrivate(api);
+        if (pc.privateRetired != 0)
+            co_await flushPrivate(api);
         co_await api.read(layout::kPhentosRetireCounter);
         if (sharedRetired_ >= submitted_)
             break;
@@ -157,6 +158,7 @@ Phentos::taskwaitChildren(cpu::HartApi &api, std::uint64_t id,
 sim::CoTask<void>
 Phentos::worker(cpu::HartApi &api)
 {
+    const PerCore &pc = perCore_[api.coreId()];
     unsigned idle_polls = 0;
     while (true) {
         const bool ran = co_await tryExecuteOne(api);
@@ -167,7 +169,8 @@ Phentos::worker(cpu::HartApi &api)
         ++idle_polls;
         co_await api.read(layout::kPhentosDoneFlag);
         if (doneFlag_) {
-            co_await flushPrivate(api);
+            if (pc.privateRetired != 0)
+                co_await flushPrivate(api);
             break;
         }
         co_await api.delay(backoffOf(idle_polls));

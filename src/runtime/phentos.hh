@@ -68,7 +68,8 @@ class Phentos : public OmpSsRuntime
 
     sim::CoTask<void> worker(cpu::HartApi &api) override;
 
-    /** Flush this core's private retirement counter if non-zero. */
+    /** Flush this core's private retirement counter; callers test it
+     *  for zero first, as a flush of nothing is a no-op. */
     sim::CoTask<void> flushPrivate(cpu::HartApi &api);
 
     Cycle backoffOf(unsigned fails) const;

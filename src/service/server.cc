@@ -6,14 +6,15 @@
 #include <unistd.h>
 
 #include <cerrno>
-#include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <optional>
 #include <sstream>
 #include <stdexcept>
 
 #include "service/wire.hh"
 #include "spec/json.hh"
+#include "spec/run_spec.hh"
 
 namespace picosim::svc
 {
@@ -32,14 +33,18 @@ tokenize(const std::string &line)
     return out;
 }
 
+/** A job id or byte count: digits only (spec::parseInt), so a sign is
+ *  refused instead of wrapping to 2^64 - 1. */
 bool
 parseId(const std::string &tok, std::uint64_t &id)
 {
-    if (tok.empty())
+    try {
+        id = spec::parseInt("id", tok, 0,
+                            std::numeric_limits<std::uint64_t>::max());
+        return true;
+    } catch (const spec::SpecError &) {
         return false;
-    char *end = nullptr;
-    id = std::strtoull(tok.c_str(), &end, 10);
-    return end != nullptr && *end == '\0';
+    }
 }
 
 /** Longest request line a client may send. Far beyond any legitimate

@@ -8,7 +8,7 @@
  * kernel's actual structure instead:
  *
  *  - Each component has exactly ONE armed wake cycle (the minimum of its
- *    self-schedule and its earliest pending external wake; the Simulator
+ *    re-arm at nextDue() and the wakes requested since; the Simulator
  *    maintains that minimum). Arming, disarming and re-arming are O(1)
  *    bit operations — no stale entries exist at all.
  *  - A bucket holds one bit per component (registration index), so

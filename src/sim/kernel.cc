@@ -27,64 +27,33 @@ Simulator::addTicked(Ticked *component)
     wheel_.addComponent(component->regIndex_);
     // Initial evaluation at the current cycle, like the reference kernel's
     // first tick-the-world pass.
-    addExternal(component, clock_.now());
-    arm(component, clock_.now());
-}
-
-void
-Simulator::addExternal(Ticked *t, Cycle cycle)
-{
-    if (t->extHead_ == kCycleNever) {
-        t->extHead_ = cycle;
-        return;
-    }
-    if (cycle == t->extHead_)
-        return; // duplicate of the earliest pending wake
-    if (cycle < t->extHead_) {
-        std::swap(cycle, t->extHead_); // old head becomes a later wake
-    }
-    auto &more = t->extMore_;
-    const auto it = std::lower_bound(more.begin(), more.end(), cycle);
-    if (it == more.end() || *it != cycle)
-        more.insert(it, cycle); // keep sorted, deduplicated
-}
-
-void
-Simulator::consumeExternalHead(Ticked *t)
-{
-    if (t->extMore_.empty()) {
-        t->extHead_ = kCycleNever;
-    } else {
-        t->extHead_ = t->extMore_.front();
-        t->extMore_.erase(t->extMore_.begin());
-    }
+    arm(component, clock_.now(), clock_.now());
 }
 
 void
 Simulator::disarm(Ticked *t)
 {
-    if (t->armedAt_ == kCycleNever)
+    if (t->due_ == kCycleNever)
         return;
     if (t->far_) {
         t->far_ = false;
         if (--farCount_ == 0)
             farMin_ = kCycleNever;
     } else {
-        wheel_.clear(t->regIndex_, t->armedAt_);
+        wheel_.clear(t->regIndex_, t->due_);
     }
-    t->armedAt_ = kCycleNever;
+    t->due_ = kCycleNever;
 }
 
 void
-Simulator::arm(Ticked *t, Cycle now)
+Simulator::arm(Ticked *t, Cycle due, Cycle now)
 {
-    const Cycle due = std::min(t->selfSched_, t->extHead_);
-    if (due == t->armedAt_)
-        return; // already armed at its due cycle
+    if (due == t->due_)
+        return; // already armed at that cycle
     disarm(t);
     if (due == kCycleNever)
         return;
-    t->armedAt_ = due;
+    t->due_ = due;
     if (due - now < EventWheel::kBuckets) {
         wheel_.set(t->regIndex_, due);
     } else {
@@ -105,12 +74,12 @@ Simulator::refileFar(Cycle now)
     for (Ticked *t : ticked_) {
         if (!t->far_)
             continue;
-        if (t->armedAt_ - now < EventWheel::kBuckets) {
+        if (t->due_ - now < EventWheel::kBuckets) {
             t->far_ = false;
             --farCount_;
-            wheel_.set(t->regIndex_, t->armedAt_);
+            wheel_.set(t->regIndex_, t->due_);
         } else {
-            newMin = std::min(newMin, t->armedAt_);
+            newMin = std::min(newMin, t->due_);
         }
     }
     farMin_ = newMin;
@@ -130,10 +99,10 @@ Simulator::requestWake(Ticked *component, Cycle cycle)
         // reference kernel would make this state visible to it next cycle.
         c = now + 1;
     }
-    if (c == kCycleNever)
-        return;
-    addExternal(component, c);
-    arm(component, now);
+    // A wake only pulls the due cycle in: a later one is left to the
+    // component's nextDue() when it ticks at the earlier cycle.
+    if (c < component->due_)
+        arm(component, c, now);
 }
 
 void
@@ -156,29 +125,19 @@ Simulator::evaluateDue()
                 w * 64 + static_cast<unsigned>(std::countr_zero(bits));
             wheel_.clearBit(now, r);
             Ticked *t = ticked_[r];
-            t->armedAt_ = kCycleNever;
-            if (t->extHead_ == now)
-                consumeExternalHead(t); // tracked wake consumed
-            if (t->selfSched_ == now)
-                t->selfSched_ = kCycleNever;
-            if (t->lastTick_ == now) {
-                arm(t, now);
-                continue; // already evaluated this cycle
-            }
+            t->due_ = kCycleNever;
             t->lastTick_ = now;
             currentRegIndex_ = r;
 
-            t->fastTick();
+            t->tick();
             ++componentTicks_;
             tickedAny = true;
 
-            // Re-arm at the component's own next due cycle; wakes
-            // requested during its own tick have updated extHead_.
-            const Cycle self = t->fastDue(now + 1);
-            t->selfSched_ = self == kCycleNever
-                                ? kCycleNever
-                                : std::max(self, now + 1);
-            arm(t, now);
+            // Re-arm at the component's own next due cycle, unless a wake
+            // requested during its tick already armed it earlier.
+            const Cycle self = std::max(t->nextDue(now + 1), now + 1);
+            if (self < t->due_)
+                arm(t, self, now);
         }
     }
     evaluating_ = false;
@@ -191,12 +150,12 @@ Simulator::refreshNextEventCycle()
 {
     const Cycle now = clock_.now();
     // Dense-phase fast path: something is armed for the immediately next
-    // cycle, which no revalidation could beat (armed cycles are >= now,
-    // and re-validated self-schedules clamp to now + 1 as well). A stale
-    // self-schedule costs at most one idle evaluation and re-arms itself
-    // from live state — results are unaffected. Nothing can be armed AT
-    // `now` here: evaluateDue() re-reads each mask word until it is
-    // empty, and wakes for a slot that has passed slip to now + 1.
+    // cycle, which no re-check could beat (armed cycles are >= now, and
+    // re-checked due cycles clamp to now + 1 as well). A stale entry
+    // costs at most one idle evaluation and re-arms itself from
+    // nextDue() — results are unaffected. Nothing can be armed AT `now`
+    // here: evaluateDue() re-reads each mask word until it is empty, and
+    // wakes for a slot that has passed slip to now + 1.
     if (wheel_.anyAt(now + 1))
         return now + 1;
     while (true) {
@@ -208,44 +167,27 @@ Simulator::refreshNextEventCycle()
                 return kCycleNever;
             // Nothing within the horizon: the minimum lives in the far
             // set (re-derive it exactly; farMin is a lower bound).
-            c = kCycleNever;
             for (Ticked *t : ticked_)
                 if (t->far_)
-                    c = std::min(c, t->armedAt_);
+                    c = std::min(c, t->due_);
             farMin_ = c;
             inWheel = false;
         }
 
-        // Re-validate components armed at c purely by self-schedule: a
-        // consumer may have emptied the queue the re-arm was computed
-        // for, pushing the real due cycle out (or a contract-violating
-        // mutation pulled it in). External wakes are always honored.
+        // Re-check every component armed at c against nextDue(): a
+        // consumer may have emptied the queue a re-arm was computed for,
+        // and a requested wake is only a hint, so the real due cycle may
+        // lie later (or, after a contract-violating mutation, earlier).
         bool anyValid = false;
         Cycle movedMin = kCycleNever;
-        const auto revalidate = [&](Ticked *t) {
-            if (t->extHead_ == c) {
-                anyValid = true;
-                return;
-            }
-            if (t->lastTick_ == now) {
-                // Ticked (and re-armed from live state) this very cycle:
-                // any later same-cycle mutation comes with a requestWake
-                // by the kernel contract, so the self-schedule is fresh —
-                // skip the duplicate active()/wakeAt() computation that
-                // dominated the fast-forward path.
-                anyValid = true;
-                return;
-            }
-            Cycle fresh = t->fastDue(now + 1);
-            if (fresh != kCycleNever)
-                fresh = std::max(fresh, now + 1);
+        const auto recheck = [&](Ticked *t) {
+            const Cycle fresh = std::max(t->nextDue(now + 1), now + 1);
             if (fresh == c) {
                 anyValid = true;
                 return;
             }
-            t->selfSched_ = fresh;
-            arm(t, now);
-            movedMin = std::min(movedMin, t->armedAt_);
+            arm(t, fresh, now);
+            movedMin = std::min(movedMin, fresh);
         };
 
         if (inWheel) {
@@ -257,19 +199,19 @@ Simulator::refreshNextEventCycle()
                         w * 64 +
                         static_cast<unsigned>(std::countr_zero(bits));
                     bits &= bits - 1;
-                    revalidate(ticked_[r]);
+                    recheck(ticked_[r]);
                 }
             }
         } else {
             for (Ticked *t : ticked_)
-                if (t->far_ && t->armedAt_ == c)
-                    revalidate(t);
+                if (t->far_ && t->due_ == c)
+                    recheck(t);
         }
 
         if (anyValid && movedMin >= c)
             return c;
         // Either everything moved later (rescan finds the new minimum)
-        // or a re-validated component moved EARLIER than c (stale entry
+        // or a re-checked component moved EARLIER than c (a stale entry
         // masked a nearer due cycle) — rescan from the current cycle.
     }
 }
@@ -361,25 +303,22 @@ void
 Simulator::evaluateAll()
 {
     for (Ticked *t : ticked_)
-        t->fastTick();
+        t->tick();
     componentTicks_ += ticked_.size();
     ++evaluatedCycles_;
 }
 
-bool
-Simulator::anyActive() const
-{
-    return std::any_of(ticked_.begin(), ticked_.end(),
-                       [](const Ticked *t) { return t->fastActive(); });
-}
-
 Cycle
-Simulator::nextWakeAll() const
+Simulator::nextDueAll() const
 {
-    Cycle wake = kCycleNever;
-    for (const Ticked *t : ticked_)
-        wake = std::min(wake, t->fastWakeAt());
-    return wake;
+    const Cycle next = clock_.now() + 1;
+    Cycle due = kCycleNever;
+    for (const Ticked *t : ticked_) {
+        due = std::min(due, t->nextDue(next));
+        if (due <= next)
+            return next;
+    }
+    return due;
 }
 
 bool
@@ -398,17 +337,12 @@ Simulator::runTickWorld(const DonePredicate &done, Cycle end)
 
         evaluateAll();
 
-        if (anyActive()) {
-            clock_.advanceTo(clock_.now() + 1);
-            continue;
-        }
-        const Cycle wake = nextWakeAll();
-        if (wake == kCycleNever) {
+        const Cycle next = nextDueAll();
+        if (next == kCycleNever) {
             // Fully idle system: either done() holds next check or the
             // simulation can never progress again.
             return done();
         }
-        const Cycle next = std::max(wake, clock_.now() + 1);
         if (stopsAtLimit(done, next, end))
             return false;
         clock_.advanceTo(next);
@@ -420,15 +354,7 @@ Simulator::runForTickWorld(Cycle end)
 {
     while (clock_.now() < end) {
         evaluateAll();
-        Cycle next = clock_.now() + 1;
-        if (!anyActive()) {
-            const Cycle wake = nextWakeAll();
-            if (wake != kCycleNever)
-                next = std::max(next, wake);
-            else
-                next = end;
-        }
-        clock_.advanceTo(std::min(next, end));
+        clock_.advanceTo(std::min(nextDueAll(), end));
     }
 }
 

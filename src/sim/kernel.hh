@@ -2,6 +2,9 @@
  * @file
  * The simulation kernel: owns the clock, schedules component evaluations
  * through a bitmap timing wheel, fast-forwards across quiescent periods.
+ * Both evaluation modes read one schedule per component, its
+ * Ticked::nextDue(); a requested wake only pulls a component's armed
+ * cycle in, and is checked against nextDue() before the clock jumps to it.
  */
 
 #ifndef PICOSIM_SIM_KERNEL_HH
@@ -26,7 +29,7 @@ enum class EvalMode : std::uint8_t
 {
     /**
      * Event-driven: components are evaluated only at cycles for which they
-     * are scheduled (self-rescheduling after each tick plus explicit
+     * are armed (re-armed at nextDue() after each tick, pulled in by
      * requestWake() calls on external mutations). Same-cycle evaluations
      * run in registration order, so results are bit-identical to TickWorld.
      */
@@ -34,9 +37,9 @@ enum class EvalMode : std::uint8_t
 
     /**
      * Reference tick-the-world kernel: every registered component is
-     * ticked, in registration order, for every cycle in which at least one
-     * reports active(); when all are quiescent the clock jumps to the
-     * minimum wakeAt(). Kept as the equivalence baseline.
+     * ticked, in registration order, at every evaluated cycle; the clock
+     * then jumps to the minimum nextDue() over all components. Kept as
+     * the equivalence baseline.
      */
     TickWorld,
 };
@@ -69,17 +72,17 @@ using CheckpointHook = std::function<void(Cycle)>;
  * Cycle-exact simulator over a bitmap timing-wheel scheduler.
  *
  * Scheduling contract (the deterministic same-cycle ordering rule):
- * every component holds exactly ONE armed entry — the minimum of its
- * kernel re-arm (self-schedule) and its earliest pending external wake —
- * stored as one bit in the wheel bucket of that cycle. Components due in
- * the same cycle are dispatched in REGISTRATION ORDER (bucket bits are
- * iterated word by word, lowest index first), independent of the order
- * wakes were requested in — the invariant that makes the event-driven
- * schedule produce bit-identical results to ticking the world every
- * active cycle. Schedule and cancel are O(1) bit operations; same-cycle
- * events batch into one bucket dispatch; far-future wakes (beyond the
- * wheel horizon) sit in a per-component far set until they come within
- * range.
+ * every component holds exactly ONE armed entry, its due cycle — the
+ * minimum of its re-arm at nextDue() after its last tick and the wakes
+ * requested since — stored as one bit in the wheel bucket of that cycle.
+ * Components due in the same cycle are dispatched in REGISTRATION ORDER
+ * (bucket bits are iterated word by word, lowest index first),
+ * independent of the order wakes were requested in — the invariant that
+ * makes the event-driven schedule produce bit-identical results to
+ * ticking the world every evaluated cycle. Schedule and cancel are O(1)
+ * bit operations; same-cycle events batch into one bucket dispatch;
+ * far-future wakes (beyond the wheel horizon) sit in a per-component far
+ * set until they come within range.
  */
 class Simulator
 {
@@ -190,18 +193,12 @@ class Simulator
     std::size_t numComponents() const { return ticked_.size(); }
 
   private:
-    /** Arm @p t in the wheel (or far set) at the min of its self/external
-     *  due cycles; @p now anchors the wheel horizon. */
-    void arm(Ticked *t, Cycle now);
+    /** Move @p t's one armed entry to @p due (kCycleNever disarms), in
+     *  the wheel or the far set; @p now anchors the wheel horizon. */
+    void arm(Ticked *t, Cycle due, Cycle now);
 
     /** Remove @p t's armed entry (wheel bit or far-set membership). */
     void disarm(Ticked *t);
-
-    /** Consume t's earliest external wake, promoting any later one. */
-    void consumeExternalHead(Ticked *t);
-
-    /** Record an external wake at @p cycle (dedup, keep sorted). */
-    void addExternal(Ticked *t, Cycle cycle);
 
     /** File far-armed components whose cycle entered the wheel horizon. */
     void refileFar(Cycle now);
@@ -210,10 +207,10 @@ class Simulator
     void evaluateDue();
 
     /**
-     * Earliest future cycle holding a due component, re-validating pure
-     * self-schedules against the components' live active()/wakeAt() so
-     * the fast-forward target matches the reference kernel's fresh global
-     * minimum. kCycleNever when nothing is armed.
+     * Earliest future cycle holding a due component, re-checking every
+     * entry armed at the fast-forward target (wakes included) against
+     * the component's live nextDue() so the target matches the reference
+     * kernel's fresh global minimum. kCycleNever when nothing is armed.
      */
     Cycle refreshNextEventCycle();
 
@@ -233,8 +230,8 @@ class Simulator
     bool runTickWorld(const DonePredicate &done, Cycle end);
     void runForTickWorld(Cycle end);
     void evaluateAll();
-    bool anyActive() const;
-    Cycle nextWakeAll() const;
+    /** Minimum nextDue(now + 1) over all components, clamped to now + 1. */
+    Cycle nextDueAll() const;
 
     Clock clock_;
     StatGroup stats_;

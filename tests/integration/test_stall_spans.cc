@@ -36,7 +36,7 @@ class Poller final : public sim::Ticked
   public:
     Poller() : sim::Ticked("poller") {}
     void tick() override {}
-    bool active() const override { return true; }
+    Cycle nextDue(Cycle next) const override { return next; }
 };
 
 enum class Kernel { EventDriven, TickWorld, Polling };

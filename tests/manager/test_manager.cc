@@ -216,7 +216,7 @@ TEST_F(ManagerTest, RequestBehindGrantedBurstSleepsUntilRelease)
     ASSERT_TRUE(mgr_.submissionRequest(1, 3));
     step(5);
     const Cycle next = sim_.clock().now() + 1;
-    EXPECT_GT(mgr_.nextSelfDue(next), next);
+    EXPECT_GT(mgr_.nextDue(next), next);
     const std::uint64_t ticks = sim_.componentTicks();
     step(1000);
     EXPECT_EQ(sim_.componentTicks(), ticks);

@@ -395,7 +395,7 @@ class PicosWake
     selfDueNext() const
     {
         const Cycle next = sim.clock().now() + 1;
-        return sched.nextSelfDue(next) <= next;
+        return sched.nextDue(next) <= next;
     }
 
     /** Run @p n cycles and return how many times Picos was ticked. */

@@ -134,6 +134,23 @@ TEST_F(TortureServer, SubmitBodyCapIsEnforced)
     expectHealthy();
 }
 
+TEST_F(TortureServer, SignedIdsAndByteCountsAreRefused)
+{
+    // Ids and byte counts are digits only: "-1" must not wrap to
+    // 2^64 - 1, and "+5" must not be read as job 5.
+    for (const char *request : {"STATUS -1\n", "STATUS +5\n"}) {
+        const std::string reply = roundTrip(request);
+        EXPECT_EQ(reply.rfind("ERR ", 0), 0u) << reply;
+        EXPECT_NE(reply.find("expects a job id"), std::string::npos)
+            << reply;
+    }
+    const std::string reply = roundTrip("SUBMIT -1\n");
+    EXPECT_EQ(reply.rfind("ERR ", 0), 0u) << reply;
+    EXPECT_NE(reply.find("byte count"), std::string::npos) << reply;
+
+    expectHealthy();
+}
+
 TEST_F(TortureServer, ClientVanishingMidSubmitIsHarmless)
 {
     // Promise 500 body bytes, deliver 7, hang up.

@@ -7,13 +7,14 @@
  * (or how often) their wakes were requested. These tests pin that rule
  * across the structures that could break it — multi-word bucket masks
  * (> 64 components), wheel wrap-around, the far-horizon set, and
- * multiple pending external wakes per component.
+ * multiple pending wakes per component (each reported by nextDue()).
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <memory>
+#include <set>
 #include <string>
 #include <utility>
 #include <vector>
@@ -29,8 +30,8 @@ using namespace picosim::sim;
 namespace
 {
 
-/** Purely event-driven component: runs only on requested wakes and
- *  journals every evaluation. */
+/** Purely event-driven component: due only at the cycles it was asked
+ *  to wake at (wake()), and journals every evaluation. */
 class Recorder : public Ticked
 {
   public:
@@ -44,47 +45,56 @@ class Recorder : public Ticked
     {
     }
 
-    void tick() override { journal_.emplace_back(id_, clk_.now()); }
-    bool active() const override { return false; }
+    /** Report @p cycle from nextDue() and ask the kernel for it. */
+    void
+    wake(Cycle cycle)
+    {
+        wakes_.insert(cycle);
+        requestWake(cycle);
+    }
+
+    void
+    tick() override
+    {
+        wakes_.erase(wakes_.begin(), wakes_.upper_bound(clk_.now()));
+        journal_.emplace_back(id_, clk_.now());
+    }
+
+    Cycle
+    nextDue(Cycle next) const override
+    {
+        return wakes_.empty() ? kCycleNever : std::max(*wakes_.begin(), next);
+    }
+
+  protected:
+    const Clock &clk_;
 
   private:
-    const Clock &clk_;
     unsigned id_;
     std::vector<std::pair<unsigned, Cycle>> &journal_;
+    std::set<Cycle> wakes_;
 };
 
 /** Event-driven component that, on its first evaluation after the
  *  registration pass, wakes @c next for the CURRENT cycle. */
-class Relay : public Ticked
+class Relay : public Recorder
 {
   public:
-    Relay(const Clock &clk, unsigned id,
-          std::vector<std::pair<unsigned, Cycle>> &journal)
-        : Ticked("relay" + std::to_string(id)), clk_(clk), id_(id),
-          journal_(journal)
-    {
-    }
+    using Recorder::Recorder;
 
     void
     tick() override
     {
         if (clk_.now() == 0)
             return; // registration pass
-        journal_.emplace_back(id_, clk_.now());
+        Recorder::tick();
         if (next != nullptr) {
-            next->requestWake(clk_.now());
+            next->wake(clk_.now());
             next = nullptr;
         }
     }
 
-    bool active() const override { return false; }
-
-    Ticked *next = nullptr;
-
-  private:
-    const Clock &clk_;
-    unsigned id_;
-    std::vector<std::pair<unsigned, Cycle>> &journal_;
+    Relay *next = nullptr;
 };
 
 /** Busy for the first n cycles: keeps the next cycle armed, so the
@@ -94,7 +104,12 @@ class Busy : public Ticked
   public:
     explicit Busy(unsigned n) : Ticked("busy"), remaining_(n) {}
     void tick() override { remaining_ -= remaining_ > 0 ? 1 : 0; }
-    bool active() const override { return remaining_ > 0; }
+
+    Cycle
+    nextDue(Cycle next) const override
+    {
+        return remaining_ > 0 ? next : kCycleNever;
+    }
 
   private:
     unsigned remaining_;
@@ -122,7 +137,7 @@ runSchedule(unsigned num_comps, const std::vector<Wake> &wakes,
         sim.addTicked(comps.back().get());
     }
     for (const Wake &w : wakes)
-        comps[w.comp]->requestWake(w.cycle);
+        comps[w.comp]->wake(w.cycle);
     sim.runFor(horizon);
 
     std::vector<std::pair<unsigned, Cycle>> out;
@@ -221,8 +236,8 @@ TEST(SchedulerContract, EvaluationSparsityIsPreserved)
     std::vector<std::pair<unsigned, Cycle>> journal;
     Recorder r(sim.clock(), 0, journal);
     sim.addTicked(&r);
-    r.requestWake(123);
-    r.requestWake(123456); // beyond one wheel lap
+    r.wake(123);
+    r.wake(123456); // beyond one wheel lap
     sim.runFor(200'000);
     EXPECT_EQ(sim.evaluatedCycles(), 3u);
     EXPECT_EQ(sim.componentTicks(), 3u);
@@ -251,7 +266,7 @@ TEST(SchedulerContract, SameCycleWakesAcrossMaskWordsAreNeverStranded)
     relays[100]->next = relays[10].get(); // word 1 -> word 0, slips
     relays[10]->next = relays[129].get(); // word 0 -> word 2, same cycle
     relays[129]->next = relays[64].get(); // word 2 -> word 1, slips
-    relays[3]->requestWake(1000);
+    relays[3]->wake(1000);
     sim.runFor(3000);
 
     const std::vector<std::pair<unsigned, Cycle>> expected = {

@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
+#include <set>
 #include <string>
 #include <tuple>
 #include <utility>
@@ -36,7 +38,11 @@ class CountDown : public Ticked
         }
     }
 
-    bool active() const override { return remaining_ > 0; }
+    Cycle
+    nextDue(Cycle next) const override
+    {
+        return remaining_ > 0 ? next : kCycleNever;
+    }
 
     unsigned remaining() const { return remaining_; }
     unsigned ticks() const { return ticks_; }
@@ -67,8 +73,11 @@ class Alarm : public Ticked
         }
     }
 
-    bool active() const override { return false; }
-    Cycle wakeAt() const override { return fired_ ? kCycleNever : at_; }
+    Cycle
+    nextDue(Cycle next) const override
+    {
+        return fired_ ? kCycleNever : std::max(at_, next);
+    }
 
     bool fired() const { return fired_; }
     Cycle firedAt() const { return firedAt_; }
@@ -156,9 +165,9 @@ namespace
 {
 
 /**
- * Purely event-driven component: never reports activity, only runs when
- * someone requests a wake. Records every cycle it was evaluated at into a
- * shared journal tagged with its name.
+ * Purely event-driven component: due only at the cycles it was asked to
+ * wake at (wake()). Records every cycle it was evaluated at into a shared
+ * journal tagged with its name.
  */
 class WakeRecorder : public Ticked
 {
@@ -169,12 +178,31 @@ class WakeRecorder : public Ticked
     {
     }
 
-    void tick() override { journal_.emplace_back(name(), clk_.now()); }
-    bool active() const override { return false; }
+    /** Report @p cycle from nextDue() and ask the kernel for it. */
+    void
+    wake(Cycle cycle)
+    {
+        wakes_.insert(cycle);
+        requestWake(cycle);
+    }
+
+    void
+    tick() override
+    {
+        wakes_.erase(wakes_.begin(), wakes_.upper_bound(clk_.now()));
+        journal_.emplace_back(name(), clk_.now());
+    }
+
+    Cycle
+    nextDue(Cycle next) const override
+    {
+        return wakes_.empty() ? kCycleNever : std::max(*wakes_.begin(), next);
+    }
 
   private:
     const Clock &clk_;
     std::vector<std::pair<std::string, Cycle>> &journal_;
+    std::set<Cycle> wakes_;
 };
 
 } // namespace
@@ -186,8 +214,8 @@ TEST(EventKernel, WakesComponentExactlyAtRequestedCycle)
     WakeRecorder w(sim.clock(), "w", journal);
     sim.addTicked(&w);
 
-    w.requestWake(500);
-    w.requestWake(4000);
+    w.wake(500);
+    w.wake(4000);
     sim.runFor(10'000);
 
     // Initial registration tick at 0, then exactly the requested cycles.
@@ -212,9 +240,9 @@ TEST(EventKernel, SameCycleWakesRunInRegistrationOrder)
     sim.addTicked(&c);
 
     // Schedule in reverse registration order; evaluation must not care.
-    c.requestWake(100);
-    b.requestWake(100);
-    a.requestWake(100);
+    c.wake(100);
+    b.wake(100);
+    a.wake(100);
     sim.runFor(200);
 
     ASSERT_EQ(journal.size(), 6u); // 3 registration ticks + 3 wakes
@@ -231,7 +259,7 @@ TEST(EventKernel, PastWakeIsClampedToCurrentCycle)
     sim.addTicked(&w);
     sim.runFor(50);
 
-    w.requestWake(10); // already in the past: clamp to "now"
+    w.wake(10); // already in the past: clamp to "now"
     sim.runFor(50);
 
     ASSERT_EQ(journal.size(), 2u);
@@ -245,11 +273,41 @@ TEST(EventKernel, DuplicateWakesCoalesce)
     WakeRecorder w(sim.clock(), "w", journal);
     sim.addTicked(&w);
     for (int i = 0; i < 100; ++i)
-        w.requestWake(300);
+        w.wake(300);
     sim.runFor(1000);
 
     ASSERT_EQ(journal.size(), 2u); // registration tick + one wake
     EXPECT_EQ(journal[1].second, 300u);
+}
+
+TEST(EventKernel, RequestedWakeIsRecheckedAgainstNextDue)
+{
+    // A requested wake is a hint: the kernel checks it against nextDue()
+    // before the clock jumps to it. "hinted" is woken for 500 but its
+    // nextDue() reports nothing; "late" is woken for 500 but reports
+    // 800; "due" reports 500. Only the reported cycles are ticked.
+    Simulator sim;
+    std::vector<std::pair<std::string, Cycle>> journal;
+    WakeRecorder hinted(sim.clock(), "hinted", journal);
+    WakeRecorder late(sim.clock(), "late", journal);
+    WakeRecorder due(sim.clock(), "due", journal);
+    sim.addTicked(&hinted);
+    sim.addTicked(&late);
+    sim.addTicked(&due);
+    sim.runFor(10); // registration ticks at cycle 0
+
+    hinted.requestWake(500);
+    late.wake(800);
+    late.requestWake(500);
+    due.wake(500);
+    sim.runFor(1000);
+
+    const std::vector<std::pair<std::string, Cycle>> expected = {
+        {"due", 500}, {"late", 800}};
+    ASSERT_EQ(journal.size(), 5u);
+    EXPECT_EQ(std::vector(journal.begin() + 3, journal.end()), expected);
+    EXPECT_EQ(sim.evaluatedCycles(), 3u);
+    EXPECT_EQ(sim.componentTicks(), 5u);
 }
 
 TEST(EventKernel, SkipsQuiescentComponents)

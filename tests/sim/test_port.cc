@@ -9,6 +9,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "sim/kernel.hh"
 #include "sim/port.hh"
 
@@ -35,8 +37,11 @@ class Drain : public Ticked
         }
     }
 
-    bool active() const override { return port_->frontReady(); }
-    Cycle wakeAt() const override { return port_->nextReadyCycle(); }
+    Cycle
+    nextDue(Cycle next) const override
+    {
+        return std::max(port_->nextReadyCycle(), next);
+    }
 
     std::vector<std::pair<Cycle, int>> popped;
 

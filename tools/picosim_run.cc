@@ -298,21 +298,8 @@ runMain(int argc, char **argv)
         else if (a.key == "spec") spec_path = a.value;
         else if (a.key == "jobs") {
             // Execution-only knob, same strict parsing as spec keys.
-            const std::string &v = a.value;
-            bool ok = !v.empty() && v.size() <= 12;
-            unsigned long long value = 0;
-            if (ok) {
-                for (const char c : v) {
-                    if (c < '0' || c > '9') { ok = false; break; }
-                    value = value * 10 + static_cast<unsigned>(c - '0');
-                }
-            }
-            if (!ok || value > 4096) {
-                throw spec::SpecError(
-                    "--jobs expects an integer in [0, 4096], got '" + v +
-                    "'");
-            }
-            jobs = static_cast<unsigned>(value);
+            jobs = static_cast<unsigned>(
+                spec::parseInt("--jobs", a.value, 0, 4096));
         }
         // Spec keys are applied in pass 2 (after any --spec file).
     }

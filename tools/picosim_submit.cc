@@ -30,6 +30,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <limits>
 #include <optional>
 #include <sstream>
 #include <string>
@@ -88,19 +89,22 @@ parseArgs(int argc, char **argv)
         const std::string value =
             eq == std::string::npos ? "" : arg.substr(eq + 1);
 
-        const auto id = [&]() -> std::uint64_t {
-            char *end = nullptr;
-            const std::uint64_t v = std::strtoull(value.c_str(), &end, 10);
-            if (value.empty() || *end != '\0')
-                usage("--" + key + " expects a job id");
-            return v;
+        // Digits only (spec::parseInt): a sign must not wrap to 2^64 - 1.
+        const auto number = [&](std::uint64_t min, std::uint64_t max,
+                                const std::string &what) -> std::uint64_t {
+            try {
+                return spec::parseInt("--" + key, value, min, max);
+            } catch (const spec::SpecError &) {
+                usage("--" + key + " expects " + what);
+            }
         };
-        char *end = nullptr;
+        const auto id = [&] {
+            return number(0, std::numeric_limits<std::uint64_t>::max(),
+                          "a job id");
+        };
         if (key == "port") {
-            const unsigned long v = std::strtoul(value.c_str(), &end, 10);
-            if (value.empty() || *end != '\0' || v == 0 || v > 65535)
-                usage("--port expects a port number");
-            opt.port = static_cast<unsigned short>(v);
+            opt.port =
+                static_cast<unsigned short>(number(1, 65535, "a port number"));
         } else if (key == "host") opt.host = value;
         else if (key == "spec") opt.specPath = value;
         else if (key == "timeout") {
